@@ -11,20 +11,19 @@ meta-models guarantee no interceptors and a frozen graph, the component
 boundaries can be erased entirely, and reflection revokes the specialised
 function the moment that guarantee breaks).
 
-Two compilation modes are measured:
+The compiled cell composes per-component specialised kernels as
+closures (``compiled=True``).
 
-- ``closure``: per-component specialised kernels composed as closures;
-- ``source``:  one generated-source loop for the whole chain, built with
-  ``compile()``/``exec`` and cross-stage facts (exact-class checksum
-  arithmetic, inlined LPM cache probes, derived counters).
+Shape asserted on the full profile:
 
-Shape asserted:
+- compiled batch-32 >= 1.4x the fused batch-32 path on the C6 trace;
+- the paper's C6/C11 ordering survives, with the compiled row above
+  fused: monolithic >= Click-style >= CF fused >= CF vtable, and
+  compiled >= fused.
 
-- compiled-source batch-32 >= 2x the fused batch-32 path on the C6 trace
-  (the headline claim of the compilation layer);
-- compiled-closure lands between fused and compiled-source;
-- the paper's C6/C11 ordering survives:
-  monolithic >= Click-style >= CF fused >= CF vtable.
+Under smoke only the exact claims gate: every cell delivers the whole
+trace and the compilation plan is active and specialised.  Wall-clock
+orderings are not asserted on the tiny trace.
 """
 
 import gc
@@ -47,8 +46,6 @@ BATCH = 32
 #: interleaved repeats than C11 uses (same rationale: a contention burst
 #: degrades one repeat of every configuration, not every repeat of one).
 REPEATS = 5
-
-MODES = ("closure", "source")
 
 
 def sweep(runners, routes):
@@ -90,12 +87,12 @@ def run_cf_batch(routes, trace, *, fused):
     return elapsed, _delivered(pipeline)
 
 
-def run_cf_compiled(routes, trace, *, mode):
+def run_cf_compiled(routes, trace):
     """The compiled path: one specialised callable for the whole chain."""
     capsule = Capsule("dut")
-    pipeline = build_forwarding_pipeline(capsule, routes=routes, compiled=mode)
+    pipeline = build_forwarding_pipeline(capsule, routes=routes, compiled=True)
     plan = pipeline.compiled_plan
-    assert plan is not None and plan.active and plan.mode == mode
+    assert plan is not None and plan.active
     batches = list(batched(trace, BATCH))
     start = time.perf_counter()
     for batch in batches:
@@ -139,12 +136,7 @@ def test_c17_compiled_throughput(benchmark):
             f"Click-style, batch-{BATCH}": run_click_batch,
             f"CF vtable, batch-{BATCH}": lambda r, t: run_cf_batch(r, t, fused=False),
             f"CF fused, batch-{BATCH}": lambda r, t: run_cf_batch(r, t, fused=True),
-            **{
-                f"CF compiled/{mode}, batch-{BATCH}": (
-                    lambda r, t, m=mode: run_cf_compiled(r, t, mode=m)
-                )
-                for mode in MODES
-            },
+            f"CF compiled, batch-{BATCH}": run_cf_compiled,
         }
         results = sweep(runners, routes)
 
@@ -159,7 +151,6 @@ def test_c17_compiled_throughput(benchmark):
             ["system", "kpps", "vs CF fused", "delivered"],
             rows,
         )
-        print(f"[bench-meta] modes={','.join(MODES)}")
         print(f"[bench-meta] repeats={REPEATS}")
         return {name: pps for name, (pps, _) in results.items()}, results
 
@@ -167,37 +158,33 @@ def test_c17_compiled_throughput(benchmark):
     for name, (_, delivered) in results.items():
         assert delivered == PACKETS, name
 
+    # Wall-clock comparisons are noise-dominated on the smoke trace;
+    # smoke gates only on the exact delivery counts above.
+    if SMOKE:
+        return
     mono = throughput[f"monolithic, batch-{BATCH}"]
     click = throughput[f"Click-style, batch-{BATCH}"]
     vtable = throughput[f"CF vtable, batch-{BATCH}"]
     fused = throughput[f"CF fused, batch-{BATCH}"]
-    closure = throughput[f"CF compiled/closure, batch-{BATCH}"]
-    source = throughput[f"CF compiled/source, batch-{BATCH}"]
+    closure = throughput[f"CF compiled, batch-{BATCH}"]
 
-    # Magnitude claims are noise-dominated on the smoke trace; smoke mode
-    # asserts orderings only (below).
-    if not SMOKE:
-        # Headline: compiling the uninterferable region buys >= 2x over
-        # the fused batch path on the same trace.
-        assert source >= 2.0 * fused
-        # Closure composition alone (no generated source) already erases
-        # a large share of the interpreted-stage cost.
-        assert closure >= 1.4 * fused
+    # Closure composition erases a large share of the interpreted-stage
+    # cost over the fused batch path on the same trace.
+    assert closure >= 1.4 * fused
 
     # Paper ordering preserved (same 0.9 slack style as C6/C11), and the
-    # compiled rows slot in above fused: source >= closure >= fused.
+    # compiled row slots in above fused.
     assert mono >= click * 0.9
     assert click >= fused * 0.9
     assert fused >= vtable * 0.9
-    assert source >= closure * 0.9
     assert closure >= fused * 0.9
 
 
 def test_c17_compiled_batch_pps(benchmark):
-    """pytest-benchmark timing for one compiled-source batch-32 crossing."""
+    """pytest-benchmark timing for one compiled batch-32 crossing."""
     routes = routes_with_default()
     capsule = Capsule("dut")
-    pipeline = build_forwarding_pipeline(capsule, routes=routes, compiled="source")
+    pipeline = build_forwarding_pipeline(capsule, routes=routes, compiled=True)
     trace = make_route_trace(routes, PACKETS)
     batches = list(batched(trace, BATCH))
     index = {"i": 0}
@@ -213,10 +200,9 @@ def test_c17_compilation_plan_summary():
     """The compilation plan summary is exposed for benchmark logs."""
     routes = routes_with_default()
     capsule = Capsule("dut")
-    pipeline = build_forwarding_pipeline(capsule, routes=routes, compiled="source")
+    pipeline = build_forwarding_pipeline(capsule, routes=routes, compiled=True)
     plan = pipeline.compiled_plan
     summary = plan.summary()
-    assert summary.startswith("compiled ")
-    assert plan.mode == "source"
-    assert plan.source is not None
+    assert summary.startswith("compiled 'push' chain [active]")
+    assert plan.inlined_count >= 3
     print(f"\nC17 compilation: {summary} (hops: {', '.join(HOPS)})")

@@ -61,9 +61,8 @@ SMOKE_BENCHES = (
     # ordering, pool audits), so it gates at full strength under smoke;
     # only its fault-free control cells keep wall-clock slack.
     "bench_r1_faults.py",
-    # C17's compiled-vs-fused magnitude claims keep the usual smoke
-    # slack (ordering-only on the tiny trace); the plan-summary and
-    # delivered-count checks are exact at any scale.
+    # C17 asserts no wall-clock comparison under smoke; its plan-shape
+    # and delivered-count checks are exact at any scale.
     "bench_c17_compiled.py",
     # C18's headline claims (virtual-time fleet scaling, node-kill flow
     # conservation and ≤1-home-move, byte-identical aborted rollout) are

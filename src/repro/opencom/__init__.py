@@ -29,9 +29,6 @@ from repro.opencom.compile import (
     CompilationPlan,
     CompileError,
     CompiledBatchCall,
-    CompiledPullBatchCall,
-    SourceContext,
-    compile_pull,
     compile_push_chain,
 )
 from repro.opencom.fusion import FusionPlan, fuse_component, fuse_pipeline
@@ -66,7 +63,6 @@ from repro.opencom.vtable import (
     CallContext,
     FusedBatchCall,
     FusedCall,
-    FusedPullBatchCall,
     VTable,
 )
 
@@ -85,13 +81,11 @@ __all__ = [
     "CompilationPlan",
     "CompileError",
     "CompiledBatchCall",
-    "CompiledPullBatchCall",
     "Component",
     "ComponentRegistry",
     "ConstraintViolation",
     "FusedBatchCall",
     "FusedCall",
-    "FusedPullBatchCall",
     "FusionPlan",
     "GLOBAL_REGISTRY",
     "GraphView",
@@ -121,11 +115,9 @@ __all__ = [
     "ResourceMetaModel",
     "ResourcePool",
     "RuleViolation",
-    "SourceContext",
     "Task",
     "VTable",
     "bind_across",
-    "compile_pull",
     "compile_push_chain",
     "describe_component",
     "describe_interface",

@@ -34,11 +34,11 @@ interface method:
     :meth:`VTable.watch_batch_slot`.  The batch callable takes a list and
     returns nothing; the native method is ``<method>_batch(items)``.
 *pull-shaped* (arity 0, ``pull``-style)
-    :meth:`VTable.invoke_pull_batch`, :meth:`VTable.fuse_pull_batch`,
-    :meth:`VTable.watch_pull_batch_slot`.  The batch callable takes
-    ``max_n`` and returns the list of items produced before the source ran
-    dry (a ``None`` from the scalar method ends the batch early); the
-    native method is ``<method>_batch(max_n) -> list``.
+    :meth:`VTable.invoke_pull_batch`, :meth:`VTable.watch_pull_batch_slot`
+    (how fused ports draw).  The batch callable takes ``max_n`` and
+    returns the list of items produced before the source ran dry (a
+    ``None`` from the scalar method ends the batch early); the native
+    method is ``<method>_batch(max_n) -> list``.
 
 The safety invariant is identical on both shapes and mirrors the scalar
 path: as soon as a slot gains an interceptor, batch dispatch degrades to
@@ -152,25 +152,6 @@ class FusedBatchCall(FusedCall):
         self.revoked = True
 
 
-class FusedPullBatchCall(FusedCall):
-    """Handle to a fused pull-batch call: ``handle(max_n)`` returns a list.
-
-    The pull-shaped twin of :class:`FusedBatchCall`.  While the slot is
-    unintercepted the handle targets the implementation's native
-    ``<method>_batch(max_n)`` (or a tight collect loop over the raw bound
-    method).  Interceptor installation revokes it: the handle keeps
-    working but draws each item through the vtable's interposed slot, so
-    interceptors observe every produced item.
-    """
-
-    __slots__ = ()
-
-    def _revoke(self) -> None:
-        vtable, name = self._vtable, self._name
-        self._target = lambda max_n: vtable.invoke_pull_batch(name, max_n)
-        self.revoked = True
-
-
 class VTable:
     """Dispatch table for one exposed interface instance.
 
@@ -221,7 +202,6 @@ class VTable:
         self._interceptors: dict[str, _SlotInterceptors] = {}
         self._fused: dict[str, list[FusedCall]] = {}
         self._fused_batch: dict[str, list[FusedBatchCall]] = {}
-        self._fused_pull_batch: dict[str, list[FusedPullBatchCall]] = {}
         self._batch_watchers: dict[str, list[Callable[[Callable[..., Any]], None]]] = {}
         self._pull_batch_watchers: dict[
             str, list[Callable[[Callable[..., Any]], None]]
@@ -351,22 +331,6 @@ class VTable:
         if self._interceptors.get(method_name):
             handle._revoke()
         self._fused_batch.setdefault(method_name, []).append(handle)
-        return handle
-
-    def fuse_pull_batch(self, method_name: str) -> FusedPullBatchCall:
-        """Return a revocable direct pull-batch handle for *method_name*.
-
-        ``handle(max_n)`` draws a whole list at the cost of a single call
-        while the slot is unintercepted; interceptor installation reverts
-        it to per-item interposed pulls (see :class:`FusedPullBatchCall`).
-        """
-        self._require_shape(method_name, pull=True)
-        handle = FusedPullBatchCall(
-            self._direct_pull_batch(method_name), self, method_name
-        )
-        if self._interceptors.get(method_name):
-            handle._revoke()
-        self._fused_pull_batch.setdefault(method_name, []).append(handle)
         return handle
 
     def watch_slot(
@@ -519,7 +483,7 @@ class VTable:
             )
         if not pull and arity != 1:
             hint = (
-                "use invoke_pull_batch/fuse_pull_batch/watch_pull_batch_slot"
+                "use invoke_pull_batch/watch_pull_batch_slot"
                 if arity == 0
                 else "multi-argument methods have no batch shape"
             )
@@ -636,14 +600,9 @@ class VTable:
                     handle._refresh(direct_batch)
                 for setter in self._batch_watchers.get(method_name, []):
                     setter(direct_batch)
-            if (
-                self._fused_pull_batch.get(method_name)
-                or self._pull_batch_watchers.get(method_name)
-            ):
+            if self._pull_batch_watchers.get(method_name):
                 direct_pull = self._direct_pull_batch(method_name)
-                for handle in self._fused_pull_batch.get(method_name, []):
-                    handle._refresh(direct_pull)
-                for setter in self._pull_batch_watchers.get(method_name, []):
+                for setter in self._pull_batch_watchers[method_name]:
                     setter(direct_pull)
             return
 
@@ -683,8 +642,6 @@ class VTable:
             interposed_batch = self._effective_batch(method_name)
             for setter in self._batch_watchers[method_name]:
                 setter(interposed_batch)
-        for handle in self._fused_pull_batch.get(method_name, []):
-            handle._revoke()
         if self._pull_batch_watchers.get(method_name):
             interposed_pull = self._effective_pull_batch(method_name)
             for setter in self._pull_batch_watchers[method_name]:

@@ -175,73 +175,3 @@ class Classifier(PushComponent):
                 _c["drop:unclassified"] += unclassified
 
         return kernel
-
-    def compiled_source(self, ctx, next_map):
-        """Inline the filter-match loop into the merged source kernel
-        (spine terminal).
-
-        Per-class groups flush through the sink closure kernels in
-        first-seen order; because this block is appended last it renders
-        *first* (flush blocks emit in reverse), so classified groups
-        reach the queues before any upstream side list (e.g. the
-        recogniser's deferred v6 batch) — the interpreted emission
-        order.  ``classify`` and ``default_output`` are re-read from the
-        component each batch, so filter installs/removals reach the
-        compiled path immediately, and any reflective touch revokes the
-        plan anyway.
-        """
-        if not next_map:
-            return NotImplemented
-        arrivals = ctx.facts.get("arrivals_var")
-        if arrivals is None:
-            return NotImplemented
-        c = ctx.bind("cls_counters", self.counters)
-        comp = ctx.bind("classifier", self)
-        release = ctx.bind("release_dropped", release_dropped)
-        sinks = ctx.bind("class_kernels", dict(next_map))
-        classify = ctx.fresh("classify")
-        default = ctx.fresh("class_default")
-        groups = ctx.fresh("class_groups")
-        unclassified = ctx.fresh("unclassified")
-        ctx.prologue += [
-            f"{classify} = {comp}.table.classify",
-            f"{default} = {comp}.default_output",
-            f"{groups} = {{}}",
-            f"{unclassified} = 0",
-        ]
-        ctx.loop += [
-            f"spec = {classify}(pkt)",
-            "if spec is not None:",
-            "    cls_out = spec.output",
-            "else:",
-            f"    cls_out = {default}",
-            "    if cls_out is None:",
-            f"        {unclassified} += 1",
-            f"        {release}(pkt)",
-            "        continue",
-            "pkt.metadata['class'] = cls_out",
-            f"group = {groups}.get(cls_out)",
-            "if group is None:",
-            f"    group = {groups}[cls_out] = []",
-            "group.append(pkt)",
-        ]
-        ctx.epilogue += [
-            f"if {arrivals}:",
-            f"    {c}['rx'] += {arrivals}",
-            f"if {unclassified}:",
-            f"    {c}['drop:unclassified'] += {unclassified}",
-        ]
-        ctx.flush.append([
-            f"for cls_out, group in {groups}.items():",
-            f"    {c}['class:' + cls_out] += len(group)",
-            f"    sink = {sinks}.get(cls_out)",
-            "    if sink is None:",
-            f"        {c}['drop:no-route'] += len(group)",
-            f"        {c}['drop:no-route:' + cls_out] += len(group)",
-            "        for pkt in group:",
-            f"            {release}(pkt)",
-            "        continue",
-            "    sink(group)",
-            f"    {c}['tx'] += len(group)",
-        ])
-        return None

@@ -361,82 +361,3 @@ class Forwarder(PushComponent):
                 _c["drop:no-route-entry"] += unroutable
 
         return kernel
-
-    def compiled_source(self, ctx, next_map):
-        """Inline LPM resolution into the merged loop (spine terminal).
-
-        Per-hop groups flush through the sink closure kernels; because
-        this block is appended last it renders *first* (flush blocks emit
-        in reverse), so hop groups reach the sinks before any upstream
-        side list — the interpreted emission order.
-        """
-        if not next_map:
-            return NotImplemented
-        arrivals = ctx.facts.get("arrivals_var")
-        if arrivals is None or ctx.facts.get("net_var") != "net":
-            return NotImplemented
-        c = ctx.bind("fwd_counters", self.counters)
-        comp = ctx.bind("forwarder", self)
-        release = ctx.bind("release_dropped", release_dropped)
-        sinks = ctx.bind("hop_kernels", dict(next_map))
-        lookup = ctx.fresh("lookup")
-        default = ctx.fresh("default")
-        groups = ctx.fresh("groups")
-        unroutable = ctx.fresh("unroutable")
-        ctx.prologue += [
-            f"{lookup} = {comp}.table.lookup_cached",
-            f"{default} = {comp}.default_route",
-            f"{groups} = {{}}",
-            f"{unroutable} = 0",
-        ]
-        if ctx.facts.get("version") == 4:
-            # v4-only spine: skip the version kwarg build per packet and
-            # probe the destination cache inline (its identity is stable
-            # — mutations clear it in place — and it is re-read from
-            # ``self.table`` each batch, so table swaps stay live).  A
-            # miss takes the full ``lookup_cached`` call, which also
-            # handles insertion and the eviction bound.
-            dst = ctx.facts.get("dst_var", "net.dst")
-            cache = ctx.fresh("lpm_cache")
-            miss = ctx.bind("lpm_miss", _MISS)
-            ctx.prologue += [f"{cache} = {comp}.table._cache"]
-            lookup_lines = [
-                f"next_hop = {cache}.get((4, {dst}), {miss})",
-                f"if next_hop is {miss}:",
-                f"    next_hop = {lookup}({dst})",
-            ]
-        else:
-            lookup_lines = [f"next_hop = {lookup}(net.dst, version=pkt.version)"]
-        ctx.loop += lookup_lines + [
-            "if next_hop is None:",
-            f"    next_hop = {default}",
-            "if next_hop is None:",
-            f"    {unroutable} += 1",
-            f"    {release}(pkt)",
-            "    continue",
-            "pkt.metadata['next_hop'] = next_hop",
-            f"group = {groups}.get(next_hop)",
-            "if group is None:",
-            f"    group = {groups}[next_hop] = []",
-            "group.append(pkt)",
-        ]
-        ctx.epilogue += [
-            f"if {arrivals}:",
-            f"    {c}['rx'] += {arrivals}",
-            f"if {unroutable}:",
-            f"    {c}['drop:no-route-entry'] += {unroutable}",
-        ]
-        ctx.flush.append([
-            f"for next_hop, group in {groups}.items():",
-            f"    {c}['hop:' + next_hop] += len(group)",
-            f"    sink = {sinks}.get(next_hop)",
-            "    if sink is None:",
-            f"        {c}['drop:no-route'] += len(group)",
-            f"        {c}['drop:no-route:' + next_hop] += len(group)",
-            "        for pkt in group:",
-            f"            {release}(pkt)",
-            "        continue",
-            "    sink(group)",
-            f"    {c}['tx'] += len(group)",
-        ])
-        return None

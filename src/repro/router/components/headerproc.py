@@ -121,59 +121,6 @@ class ProtocolRecognizer(PushComponent):
 
         return kernel
 
-    def compiled_source(self, ctx, next_map):
-        """Contribute the version-partition stage to the merged loop.
-
-        The v4 family *is* the spine (the common case the compiler
-        specialises); v6 packets divert to a side list flushed through
-        the v6 closure kernel after the spine's own flush blocks.
-        """
-        v6_kernel = next_map.get(self.OUT_V6)
-        if self.OUT_V4 not in next_map or v6_kernel is None:
-            return NotImplemented
-        c = ctx.bind("rec_counters", self.counters)
-        v4_cls = ctx.bind("IPv4Header", IPv4Header)
-        v6_cls = ctx.bind("IPv6Header", IPv6Header)
-        release = ctx.bind("release_dropped", release_dropped)
-        k6 = ctx.bind("v6_kernel", v6_kernel)
-        v6_list = ctx.fresh("v6_side")
-        unknown = ctx.fresh("unknown")
-        n_v4 = ctx.fresh("n_v4")
-        ctx.prologue += [f"{v6_list} = []", f"{unknown} = 0"]
-        ctx.loop += [
-            "net = pkt.net",
-            "net_cls = net.__class__",
-            f"if net_cls is not {v4_cls} and not isinstance(net, {v4_cls}):",
-            f"    if isinstance(net, {v6_cls}):",
-            f"        {v6_list}.append(pkt)",
-            "        continue",
-            f"    {unknown} += 1",
-            f"    {release}(pkt)",
-            "    continue",
-        ]
-        ctx.epilogue += [
-            # Arrivals are derived, not counted per packet: everything
-            # that neither diverted nor dropped stayed on the spine.
-            f"{n_v4} = n - len({v6_list}) - {unknown}",
-            f"{c}['rx'] += n",
-            f"if {n_v4}:",
-            f"    {c}['v4'] += {n_v4}",
-            f"    {c}['tx'] += {n_v4}",
-            f"if {unknown}:",
-            f"    {c}['drop:unknown-version'] += {unknown}",
-        ]
-        ctx.flush.append([
-            f"if {v6_list}:",
-            f"    {c}['v6'] += len({v6_list})",
-            f"    {k6}({v6_list})",
-            f"    {c}['tx'] += len({v6_list})",
-        ])
-        ctx.facts["net_var"] = "net"
-        ctx.facts["net_class_var"] = "net_cls"
-        ctx.facts["version"] = 4
-        ctx.facts["arrivals_var"] = n_v4
-        return self.OUT_V4
-
 
 class ChecksumValidator(PushComponent):
     """Drop IPv4 packets whose header checksum does not verify.
@@ -362,89 +309,6 @@ class IPv4HeaderProcessor(PushComponent):
                 _c["tx"] += len(survivors)
 
         return kernel
-
-    def compiled_source(self, ctx, next_map):
-        """Inline validate/age into the merged loop (spine stage)."""
-        if len(next_map) != 1:
-            return NotImplemented
-        arrivals = ctx.facts.get("arrivals_var")
-        if (
-            arrivals is None
-            or ctx.facts.get("version") != 4
-            or ctx.facts.get("net_var") != "net"
-            or ctx.facts.get("net_class_var") != "net_cls"
-        ):
-            # Upstream did not establish the v4-only contract (e.g. this
-            # stage is the region entry): the arithmetic branch would
-            # still be safe, but the drop:not-ipv4 replication is not
-            # worth a second code shape — decline, closure mode covers it.
-            return NotImplemented
-        c = ctx.bind("v4_counters", self.counters)
-        comp = ctx.bind("v4_proc", self)
-        v4_cls = ctx.bind("IPv4Header", IPv4Header)
-        release = ctx.bind("release_dropped", release_dropped)
-        validate = ctx.fresh("validate")
-        bad = ctx.fresh("bad")
-        expired = ctx.fresh("expired")
-        n_fwd = ctx.fresh("n_fwd")
-        ctx.prologue += [
-            f"{validate} = {comp}.validate_checksum",
-            f"{bad} = 0",
-            f"{expired} = 0",
-        ]
-        ctx.loop += [
-            f"if net_cls is {v4_cls}:",
-            "    ttl = net.ttl",
-            "    src = net.src",
-            "    dst = net.dst",
-            "    total = ("
-            "(0x4500 | ((net.dscp & 0x3F) << 2) | (net.ecn & 0x3))"
-            " + net.total_length + net.identification"
-            " + ((ttl << 8) | net.protocol)"
-            " + (src >> 16) + (src & 0xFFFF)"
-            " + (dst >> 16) + (dst & 0xFFFF))",
-            f"    if {validate}:",
-            "        folded = (total & 0xFFFF) + (total >> 16)",
-            "        folded = (folded & 0xFFFF) + (folded >> 16)",
-            "        if net.checksum != (~folded) & 0xFFFF:",
-            f"            {bad} += 1",
-            f"            {release}(pkt)",
-            "            continue",
-            "    if ttl <= 1:",
-            f"        {expired} += 1",
-            f"        {release}(pkt)",
-            "        continue",
-            "    new_sum = total - 0x100",
-            "    new_sum = (new_sum & 0xFFFF) + (new_sum >> 16)",
-            "    new_sum = (new_sum & 0xFFFF) + (new_sum >> 16)",
-            "    net.ttl = ttl - 1",
-            "    net.checksum = (~new_sum) & 0xFFFF",
-            "else:",
-            f"    if {validate} and not net.checksum_ok():",
-            f"        {bad} += 1",
-            f"        {release}(pkt)",
-            "        continue",
-            "    if not net.decrement_ttl():",
-            f"        {expired} += 1",
-            f"        {release}(pkt)",
-            "        continue",
-            "    dst = net.dst",
-        ]
-        ctx.epilogue += [
-            f"{n_fwd} = {arrivals} - {bad} - {expired}",
-            f"if {arrivals}:",
-            f"    {c}['rx'] += {arrivals}",
-            f"if {bad}:",
-            f"    {c}['drop:bad-checksum'] += {bad}",
-            f"if {expired}:",
-            f"    {c}['drop:ttl-expired'] += {expired}",
-            f"if {n_fwd}:",
-            f"    {c}['forwarded'] += {n_fwd}",
-            f"    {c}['tx'] += {n_fwd}",
-        ]
-        ctx.facts["arrivals_var"] = n_fwd
-        ctx.facts["dst_var"] = "dst"
-        return next(iter(next_map))
 
 
 class IPv6HeaderProcessor(PushComponent):

@@ -118,54 +118,6 @@ class FifoQueue(PacketComponent):
 
         return kernel
 
-    def compiled_source(self, ctx, next_map):
-        """Terminal spine stage: buffer in the loop, bulk-append on flush."""
-        if next_map:
-            return NotImplemented
-        arrivals = ctx.facts.get("arrivals_var")
-        if arrivals is None:
-            return NotImplemented
-        c = ctx.bind("queue_counters", self.counters)
-        comp = ctx.bind("queue", self)
-        release = ctx.bind("release_dropped", release_dropped)
-        staged = ctx.fresh("staged")
-        ctx.prologue += [f"{staged} = []"]
-        ctx.loop += [f"{staged}.append(pkt)"]
-        ctx.epilogue += [
-            f"if {arrivals}:",
-            f"    {c}['rx'] += {arrivals}",
-        ]
-        ctx.flush.append([
-            f"if {staged}:",
-            f"    _queue = {comp}._queue",
-            f"    _room = {comp}.capacity - len(_queue)",
-            f"    if _room >= len({staged}):",
-            f"        _queue.extend({staged})",
-            "    else:",
-            "        if _room > 0:",
-            f"            _queue.extend({staged}[:_room])",
-            f"            {c}['drop:overflow'] += len({staged}) - _room",
-            f"            _overflowed = {staged}[_room:]",
-            "        else:",
-            f"            {c}['drop:overflow'] += len({staged})",
-            f"            _overflowed = {staged}",
-            "        for pkt in _overflowed:",
-            f"            {release}(pkt)",
-        ])
-        return None
-
-    def compiled_pull_kernel(self):
-        """Specialised ``pull_batch`` twin for the compiled pull shape."""
-        counters = self.counters
-
-        def kernel(max_n, _c=counters, _self=self, _bulk=bulk_dequeue):
-            got = _bulk(_self._queue, max_n)
-            if got:
-                _c["tx"] += len(got)
-            return got
-
-        return kernel
-
     @property
     def depth(self) -> int:
         """Packets currently queued."""

@@ -441,7 +441,7 @@ def build_capsule_fleet(
     version: str = "v1",
     replicas: int = 96,
     fused: bool = True,
-    compiled: Any = False,
+    compiled: bool = False,
     validate_checksums: bool = True,
     tx_handler: Callable[[str, int], Any] | None = None,
     datapath_factory: Callable[[str, str], Any] | None = None,

@@ -83,13 +83,7 @@ class RouterPipeline:
 
     # -- compiled hot path (see repro.opencom.compile) ---------------------
 
-    def compile(
-        self,
-        *,
-        mode: str = "closure",
-        strict: bool = True,
-        fusion_plan: Any = None,
-    ) -> Any:
+    def compile(self, *, strict: bool = True, fusion_plan: Any = None) -> Any:
         """Compile the push chain into one specialised per-batch callable.
 
         Replaces any previous compiled plan.  With ``strict=False`` a
@@ -103,7 +97,7 @@ class RouterPipeline:
         try:
             plan = compile_push_chain(
                 self.entry, interface="in0", method="push",
-                mode=mode, fusion_plan=fusion_plan,
+                fusion_plan=fusion_plan,
             )
         except CompileError:
             if strict:
@@ -255,23 +249,6 @@ class RouterPipeline:
         return stats
 
 
-def _normalise_compiled(compiled: Any) -> str | None:
-    """Builder ``compiled=`` option → compile mode (or None for off).
-
-    ``True`` means closure composition; ``"source"`` selects the
-    generated-source variant (`compile()` of one merged loop).
-    """
-    if compiled is True:
-        return "closure"
-    if compiled in ("closure", "source"):
-        return compiled
-    if not compiled:
-        return None
-    raise ValueError(
-        f"compiled= must be False, True, 'closure' or 'source', got {compiled!r}"
-    )
-
-
 def build_figure3_composite(
     capsule: Capsule,
     *,
@@ -367,7 +344,7 @@ def build_forwarding_pipeline(
     clock: VirtualClock | None = None,
     queue_capacity: int = 256,
     validate_checksums: bool = True,
-    compiled: Any = False,
+    compiled: bool = False,
 ) -> RouterPipeline:
     """A flat (non-composite) IPv4 forwarding path used by the data-path
     benchmarks: recogniser → v4 processor → forwarder → per-hop sinks.
@@ -382,9 +359,8 @@ def build_forwarding_pipeline(
     through the TX rings.
 
     ``compiled`` installs the specialised per-batch chain over the
-    assembled path (``True``/"closure" for closure composition,
-    "source" for the generated-source variant); any interceptor
-    appearing in the region revokes it back to interpreted dispatch.
+    assembled path; any interceptor appearing in the region revokes it
+    back to interpreted dispatch.
     """
     from repro.router.components.nicadapters import TransmitAdapter
 
@@ -444,9 +420,8 @@ def build_forwarding_pipeline(
         },
         tx_adapters=tx_adapters,
     )
-    mode = _normalise_compiled(compiled)
-    if mode is not None:
-        pipeline.compile(mode=mode)
+    if compiled:
+        pipeline.compile()
     return pipeline
 
 
@@ -460,7 +435,7 @@ def build_sharded_forwarding_datapath(
     rx_ring_size: int | None = None,
     tx_ring_size: int | None = None,
     fused: bool = False,
-    compiled: Any = False,
+    compiled: bool = False,
     validate_checksums: bool = True,
     tx_handler: Any = None,
     supervise: bool = True,
@@ -530,8 +505,6 @@ def build_sharded_forwarding_datapath(
     tx_ring = tx_ring_size if tx_ring_size is not None else 4 * batch
     hops = sorted(set(routes.values()))
 
-    compile_mode = _normalise_compiled(compiled)
-
     def make_shard(index: int, pool: Any) -> Shard:
         capsule = Capsule(f"{name}:shard{index}")
         pipeline = build_forwarding_pipeline(
@@ -543,8 +516,8 @@ def build_sharded_forwarding_datapath(
         fusion_plan = None
         if fused:
             fusion_plan = fuse_pipeline(list(capsule.components().values()))
-        if compile_mode is not None:
-            pipeline.compile(mode=compile_mode, fusion_plan=fusion_plan)
+        if compiled:
+            pipeline.compile(fusion_plan=fusion_plan)
         handler = tx_handler(index) if tx_handler is not None else None
         return Shard(
             index,
@@ -558,9 +531,7 @@ def build_sharded_forwarding_datapath(
             # rebuilds the compiled chain on commit/rollback.
             decompile=pipeline.decompile,
             recompile=(
-                None
-                if compile_mode is None
-                else (lambda p=pipeline, m=compile_mode: p.compile(mode=m, strict=False))
+                (lambda p=pipeline: p.compile(strict=False)) if compiled else None
             ),
         )
 

@@ -4,7 +4,7 @@ interception safety invariant on the vectorised path — push-shaped
 
 import pytest
 
-from repro.opencom import FusedBatchCall, FusedPullBatchCall, InterfaceError, VTable
+from repro.opencom import FusedBatchCall, InterfaceError, VTable
 from repro.opencom.interfaces import Interface
 
 
@@ -282,63 +282,50 @@ class TestInvokePullBatch:
         assert impl.batch_calls == 1
 
 
-class TestFusePullBatch:
-    def test_fused_pull_batch_targets_native(self, vector_well):
-        impl, vtable = vector_well
-        handle = vtable.fuse_pull_batch("draw")
-        assert isinstance(handle, FusedPullBatchCall)
-        assert handle.revoked is False
-        assert handle(2) == [1, 2]
-        assert impl.batch_calls == 1
-
-    def test_fused_pull_batch_loops_raw_without_native(self, looped_well):
-        _, vtable = looped_well
-        handle = vtable.fuse_pull_batch("draw")
-        assert handle(4) == [1, 2, 3, 4]
-
-    def test_interceptor_revokes_mid_stream(self, vector_well):
-        """Installing an interceptor between two batches of a fused
-        stream reverts the handle to per-item interposed pulls and the
-        interceptor observes every subsequent item."""
-        impl, vtable = vector_well
-        handle = vtable.fuse_pull_batch("draw")
-        assert handle(2) == [1, 2]
-        seen = []
-        vtable.add_post("draw", "spy", lambda ctx: seen.append(ctx.result))
-        assert handle.revoked is True
-        assert handle(3) == [3, 4, 5]
-        assert seen == [3, 4, 5]
-        assert impl.batch_calls == 1  # only the pre-interception batch
-
-    def test_refused_after_interceptor_removed(self, vector_well):
-        impl, vtable = vector_well
-        handle = vtable.fuse_pull_batch("draw")
-        vtable.add_post("draw", "spy", lambda ctx: None)
-        vtable.remove_interceptor("draw", "spy")
-        assert handle.revoked is False
-        assert handle(1) == [1]
-        assert impl.batch_calls == 1
-
-    def test_fusing_intercepted_slot_yields_revoked_handle(self, vector_well):
-        impl, vtable = vector_well
-        vtable.add_post("draw", "spy", lambda ctx: None)
-        handle = vtable.fuse_pull_batch("draw")
-        assert handle.revoked is True
-        assert handle(1) == [1]
-        assert impl.batch_calls == 0
-
-    def test_fuse_pull_batch_shape_guard(self, looped):
-        _, vtable = looped
-        with pytest.raises(InterfaceError):
-            vtable.fuse_pull_batch("absorb")
-
-
 class TestWatchPullBatchSlot:
     def test_setter_called_immediately_with_native(self, vector_well):
         impl, vtable = vector_well
         installed = []
         vtable.watch_pull_batch_slot("draw", installed.append)
         assert installed[-1] == impl.draw_batch
+
+    def test_native_callable_drains_in_one_batch(self, vector_well):
+        impl, vtable = vector_well
+        installed = []
+        vtable.watch_pull_batch_slot("draw", installed.append)
+        assert installed[-1](2) == [1, 2]
+        assert impl.batch_calls == 1
+
+    def test_setter_loops_raw_without_native(self, looped_well):
+        impl, vtable = looped_well
+        installed = []
+        vtable.watch_pull_batch_slot("draw", installed.append)
+        assert installed[-1](4) == [1, 2, 3, 4]
+        assert impl.items == [5]
+
+    def test_interceptor_mid_stream_observes_later_items(self, vector_well):
+        """Installing an interceptor between two batches of a watched
+        stream swaps the call site to per-item interposed pulls, and the
+        interceptor observes every subsequent item."""
+        impl, vtable = vector_well
+        installed = []
+        vtable.watch_pull_batch_slot("draw", installed.append)
+        assert installed[-1](2) == [1, 2]
+        seen = []
+        vtable.add_post("draw", "spy", lambda ctx: seen.append(ctx.result))
+        assert installed[-1](3) == [3, 4, 5]
+        assert seen == [3, 4, 5]
+        assert impl.batch_calls == 1  # only the pre-interception batch
+
+    def test_shape_guard_rejects_push_method(self, looped):
+        _, vtable = looped
+        with pytest.raises(InterfaceError, match="pull-batch"):
+            vtable.watch_pull_batch_slot("absorb", lambda fn: None)
+
+    def test_unknown_method_raises(self, looped_well):
+        _, vtable = looped_well
+        with pytest.raises(InterfaceError, match="no method"):
+            vtable.watch_pull_batch_slot("drain", lambda fn: None)
 
     def test_setter_swapped_on_interception_and_back(self, vector_well):
         impl, vtable = vector_well
@@ -350,6 +337,19 @@ class TestWatchPullBatchSlot:
         assert impl.batch_calls == 0
         vtable.remove_interceptor("draw", "spy")
         assert installed[-1] == impl.draw_batch
+
+    def test_watching_intercepted_slot_yields_interposed_callable(self, vector_well):
+        """A port fused onto an already-intercepted pull slot gets the
+        interposed per-item draw loop, never the native batch method."""
+        impl, vtable = vector_well
+        seen = []
+        vtable.add_post("draw", "spy", lambda ctx: seen.append(ctx.result))
+        installed = []
+        vtable.watch_pull_batch_slot("draw", installed.append)
+        assert installed[-1] != impl.draw_batch
+        assert installed[-1](2) == [1, 2]
+        assert seen == [1, 2]
+        assert impl.batch_calls == 0
 
     def test_unsubscribe_stops_updates(self, vector_well):
         _, vtable = vector_well
@@ -367,6 +367,11 @@ class TestWatchBatchSlot:
         installed = []
         vtable.watch_batch_slot("absorb", installed.append)
         assert installed[-1] == impl.absorb_batch
+
+    def test_shape_guard_rejects_pull_method(self, looped_well):
+        _, vtable = looped_well
+        with pytest.raises(InterfaceError, match="watch_pull_batch_slot"):
+            vtable.watch_batch_slot("draw", lambda fn: None)
 
     def test_setter_swapped_on_interception_and_back(self, vector):
         impl, vtable = vector

@@ -1,6 +1,6 @@
 """The compiled hot path: region compilation, revocation-on-reflection,
-mid-batch semantics, source generation, the fusion-plan satellites, and
-the sharding decompile/recompile hooks.
+mid-batch semantics, the fusion-plan satellites, and the sharding
+decompile/recompile hooks.
 
 The *equivalence* invariant (compiled chain is observationally identical
 to interpreted, under randomised traces and reconfiguration schedules)
@@ -16,7 +16,6 @@ from repro.opencom import (
     CallCounter,
     Capsule,
     CompileError,
-    compile_pull,
     compile_push_chain,
     fuse_component,
     fuse_pipeline,
@@ -30,13 +29,10 @@ from repro.router import (
     build_sharded_forwarding_datapath,
 )
 from repro.router.components.meters import CollectorSink
-from repro.router.components.queues import FifoQueue
 
 from tests.conftest import Caller, Echoer
 
 ROUTES = {"10.0.0.0/8": "east", "10.128.0.0/9": "west", "0.0.0.0/0": "north"}
-
-MODES = ("closure", "source")
 
 
 def make_trace(count=48):
@@ -85,30 +81,30 @@ def build(capsule_name="dut", **kwargs):
 
 
 class TestCompilePushChain:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_equivalent_to_interpreted(self, mode):
+    def test_equivalent_to_interpreted(self):
         _, interpreted = build("ref")
-        _, compiled = build("dut", compiled=mode)
+        _, compiled = build("dut", compiled=True)
         interpreted.push_batch(make_trace())
         compiled.push_batch(make_trace())
         assert egress(compiled) == egress(interpreted)
         assert compiled.stage_stats() == interpreted.stage_stats()
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_plan_shape(self, mode):
-        _, pipeline = build(compiled=mode)
+    def test_plan_shape(self):
+        _, pipeline = build(compiled=True)
         plan = pipeline.compiled_plan
         assert plan.active and not plan.revoked
-        assert plan.requested_mode == mode and plan.mode == mode
-        assert plan.fallback_reason is None
         assert plan.inlined_count >= 3
-        assert plan.summary().startswith(f"compiled 'push' chain [{mode}, active]")
+        assert plan.summary().startswith("compiled 'push' chain [active]")
 
-    def test_source_mode_exposes_generated_source(self):
-        _, pipeline = build(compiled="source")
-        plan = pipeline.compiled_plan
-        assert plan.source is not None
-        assert "def __compiled__(packets):" in plan.source
+    def test_compile_takes_no_mode_argument(self):
+        # Closure composition is the one compile path: neither entry point
+        # accepts a mode selector.
+        _, pipeline = build()
+        with pytest.raises(TypeError, match="mode"):
+            compile_push_chain(pipeline.entry, mode="closure")
+        with pytest.raises(TypeError, match="mode"):
+            pipeline.compile(mode="closure")
+        assert not pipeline.compiled_active
 
     def test_intercepted_region_refuses_to_compile(self):
         capsule, pipeline = build()
@@ -123,7 +119,7 @@ class TestCompilePushChain:
         assert not pipeline.compiled_active
 
     def test_interceptor_anywhere_in_region_revokes(self):
-        _, pipeline = build(compiled="closure")
+        _, pipeline = build(compiled=True)
         plan = pipeline.compiled_plan
         assert plan.active
         interceptor = CallCounter().attach_to(
@@ -138,19 +134,12 @@ class TestCompilePushChain:
 
     def test_revoked_handle_still_forwards(self):
         _, interpreted = build("ref")
-        _, pipeline = build("dut", compiled="source")
+        _, pipeline = build("dut", compiled=True)
         CallCounter().attach_to(pipeline.stages["ipv4"].interface("in0"))
         assert pipeline.compiled_plan.revoked
         interpreted.push_batch(make_trace())
         pipeline.push_batch(make_trace())
         assert egress(pipeline) == egress(interpreted)
-
-    def test_unknown_mode_rejected(self):
-        _, pipeline = build()
-        with pytest.raises(CompileError, match="unknown compile mode"):
-            compile_push_chain(pipeline.entry, mode="jit")
-        with pytest.raises(ValueError, match="compiled="):
-            build_forwarding_pipeline(Capsule("bad"), routes=ROUTES, compiled="jit")
 
 
 class TestMidBatchRevocation:
@@ -171,13 +160,12 @@ class TestMidBatchRevocation:
             if callback is not None:
                 callback()
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_in_flight_batch_finishes_specialised(self, mode):
+    def test_in_flight_batch_finishes_specialised(self):
         capsule = Capsule("dut")
         trigger = capsule.instantiate(self.TriggerSink, "trigger-east")
         pipeline = build_forwarding_pipeline(
             capsule, routes=ROUTES, next_hop_sinks={"east": trigger},
-            compiled=mode,
+            compiled=True,
         )
         plan = pipeline.compiled_plan
         counter = CallCounter()
@@ -210,21 +198,16 @@ class TestMidBatchRevocation:
         assert pipeline.stages["sink:west"].collected_count() == 2
 
 
-class TestSourceSpine:
-    def test_figure3_spine_compiles_to_source(self):
-        # The classifier contributes a compiled_source match loop, so the
-        # whole Figure-3 spine (recogniser → v4 → classifier) merges into
-        # one generated kernel — and the plan summary records the mode.
+class TestFigure3Spine:
+    def test_figure3_spine_compiles(self):
+        # The classifier's match loop inlines, so the whole Figure-3 spine
+        # (recogniser → v4 → classifier) merges into one compiled chain.
         capsule = Capsule("gw")
         _, pipeline = build_figure3_composite(capsule)
-        plan = pipeline.compile(mode="source")
-        assert plan.requested_mode == "source"
-        assert plan.mode == "source"
-        assert plan.fallback_reason is None
-        assert plan.source is not None
-        assert ".table.classify" in plan.source
-        assert "source" in plan.summary()
-        # The generated chain still classifies: one packet per class.
+        plan = pipeline.compile()
+        assert plan.active and pipeline.compiled_active
+        assert plan.summary().startswith("compiled 'push' chain [active]")
+        # The compiled chain still classifies: one packet per class.
         pipeline.push_batch([make_udp_v4("10.0.0.1", "10.9.9.9", dport=7)])
         queued = sum(
             stage.depth
@@ -233,15 +216,20 @@ class TestSourceSpine:
         )
         assert queued == 1
 
-    def test_source_spine_matches_interpreted_counters(self):
-        # Equivalence on a v4 + v6 mix: byte-path, queue depths and every
-        # counter dict (including which keys exist) must match the
-        # interpreted composite exactly.
+    def test_compiled_spine_matches_interpreted_counters(self):
+        # The whole Figure-3 spine (recogniser → v4/v6 → classifier →
+        # queues) composes into one chain.  Equivalence on a v4 + v6 mix:
+        # byte-path, queue depths and every counter dict (including which
+        # keys exist) must match the interpreted composite exactly.
         compiled_caps, reference_caps = Capsule("gw"), Capsule("gw-ref")
         _, compiled_pipe = build_figure3_composite(compiled_caps)
         _, reference_pipe = build_figure3_composite(reference_caps)
-        plan = compiled_pipe.compile(mode="source")
-        assert plan.mode == "source"
+        plan = compiled_pipe.compile()
+        inlined = {stage.name for stage in plan.stages if stage.inlined}
+        assert {
+            "gateway.protocol-recogniser", "gateway.ipv4-processor",
+            "gateway.classifier",
+        } <= inlined
 
         def traffic():
             return [
@@ -261,40 +249,9 @@ class TestSourceSpine:
                 assert stage.depth == reference_pipe.stages[name].depth
 
 
-class TestCompilePull:
-    def test_pull_chain_equivalence_and_revocation(self):
-        capsule = Capsule("dut")
-        queue = capsule.instantiate(lambda: FifoQueue(64), "q")
-        reference = capsule.instantiate(lambda: FifoQueue(64), "q-ref")
-        trace = [make_udp_v4("10.0.0.1", "10.9.9.9", dport=i) for i in range(10)]
-        queue.push_batch(trace)
-        reference.push_batch(list(trace))
-
-        plan = compile_pull(queue)
-        assert plan.active
-        got = plan.handle(4)
-        assert got == reference.pull_batch(4)
-        assert queue.stats() == reference.stats()
-
-        # Reflection on the pull interface revokes; the handle keeps
-        # draining through the interposed vtable.
-        CallCounter().attach_to(queue.interface("pull0"))
-        assert plan.revoked
-        got = plan.handle(100)
-        assert got == reference.pull_batch(100)
-        assert queue.depth == 0
-
-    def test_pull_plan_records_stage(self):
-        capsule = Capsule("dut")
-        queue = capsule.instantiate(lambda: FifoQueue(8), "q")
-        plan = compile_pull(queue)
-        assert plan.inlined_count == 1
-        assert plan.summary().startswith("compiled 'pull' chain [closure, active]")
-
-
 class TestPipelineCompileLifecycle:
     def test_decompile_is_idempotent_and_reversible(self):
-        _, pipeline = build(compiled="closure")
+        _, pipeline = build(compiled=True)
         first = pipeline.compiled_plan
         assert pipeline.compiled_active
         pipeline.decompile()
@@ -303,7 +260,7 @@ class TestPipelineCompileLifecycle:
         pipeline.decompile()  # idempotent
         # Recompilation installs a fresh plan and the path still matches
         # the interpreted reference.
-        second = pipeline.compile(mode="source")
+        second = pipeline.compile()
         assert second is not first and pipeline.compiled_active
         _, interpreted = build("ref")
         interpreted.push_batch(make_trace())
@@ -311,9 +268,9 @@ class TestPipelineCompileLifecycle:
         assert egress(pipeline) == egress(interpreted)
 
     def test_recompile_replaces_previous_plan(self):
-        _, pipeline = build(compiled="closure")
+        _, pipeline = build(compiled=True)
         first = pipeline.compiled_plan
-        second = pipeline.compile(mode="closure")
+        second = pipeline.compile()
         assert first.revoked and second.active
         assert pipeline.compiled_plan is second
 
@@ -330,7 +287,7 @@ class TestLedgerSavings:
             make_udp_v4("10.255.0.1", f"10.{i}.0.9", dport=i) for i in range(n)
         ]
         _, interpreted = build("ref")
-        _, compiled = build("dut", compiled="source")
+        _, compiled = build("dut", compiled=True)
 
         before = DATAPATH_LEDGER.snapshot()
         interpreted.push_batch(trace())
@@ -381,7 +338,7 @@ class TestFusionPlanSatellites:
 
         plan = fuse_pipeline(list(capsule.components().values()))
         assert plan.fused_count > 0 and plan.skipped
-        pipeline.compile(mode="closure", fusion_plan=plan)
+        pipeline.compile(fusion_plan=plan)
         assert plan.compiled_count == 1
 
         summary = plan.summary()
@@ -396,7 +353,7 @@ class TestFusionPlanSatellites:
         capsule = Capsule("dut")
         pipeline = build_forwarding_pipeline(capsule, routes=ROUTES)
         plan = fuse_pipeline(list(capsule.components().values()))
-        compiled = pipeline.compile(mode="closure", fusion_plan=plan)
+        compiled = pipeline.compile(fusion_plan=plan)
         assert compiled.active
         plan.revert()
         assert compiled.revoked
@@ -411,7 +368,7 @@ class TestShardingHooks:
     """Reconfiguration rounds de-specialise the fleet and rebuild on
     commit/rollback (the per-shard decompile/recompile hooks)."""
 
-    def _datapath(self, shards=2, *, compiled="source", buckets=8):
+    def _datapath(self, shards=2, *, buckets=8):
         pools = carve_shard_pools(256, 64 * shards, shards)
         return build_sharded_forwarding_datapath(
             routes=ROUTES,
@@ -419,7 +376,7 @@ class TestShardingHooks:
             threads=manager(),
             pools=pools,
             batch=4,
-            compiled=compiled,
+            compiled=True,
             buckets=buckets,
         )
 
@@ -427,7 +384,6 @@ class TestShardingHooks:
         datapath = self._datapath()
         for shard in datapath.shards:
             assert shard.engine.compiled_active
-            assert shard.engine.compiled_plan.mode == "source"
         datapath.shutdown()
 
     def test_resize_decompiles_then_recompiles_the_fleet(self):

@@ -11,7 +11,9 @@ interpreted pipeline as the sequential oracle: whatever the schedule,
   arithmetic-checksum kernel may record *fewer* header materialisations
   (never more),
 - every revocation lands on the interpreted path (a revoked plan never
-  handles another batch specialised), and
+  handles another batch specialised),
+- a fused pull port drains a queue exactly as the interpreted queue
+  does, across interceptor attach/detach, and
 - the sharded form keeps per-flow byte-for-byte egress and balanced
   pooled-buffer books across live resizes.
 
@@ -41,8 +43,12 @@ from repro.osbase import (
     release_dropped,
 )
 from repro.osbase.memory import DATAPATH_LEDGER
-from repro.router import build_forwarding_pipeline, build_sharded_forwarding_datapath
-from repro.router.components.queues import FifoQueue
+from repro.router import (
+    FifoQueue,
+    PriorityLinkScheduler,
+    build_forwarding_pipeline,
+    build_sharded_forwarding_datapath,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -92,8 +98,7 @@ EVENTS = (
     "intercept-forwarder",
     "detach",
     "decompile",
-    "recompile-closure",
-    "recompile-source",
+    "recompile",
 )
 stream = st.lists(
     st.tuples(
@@ -136,15 +141,14 @@ class TestPushChainDifferential:
     @_SETTINGS
     @given(
         batches=stream,
-        mode=st.sampled_from(["closure", "source"]),
         validate=st.booleans(),
         with_default=st.booleans(),
     )
-    def test_compiled_equals_interpreted(self, batches, mode, validate, with_default):
+    def test_compiled_equals_interpreted(self, batches, validate, with_default):
         routes = DEFAULTED if with_default else ROUTED
         dut = build_forwarding_pipeline(
             Capsule("dut"), routes=routes,
-            validate_checksums=validate, compiled=mode,
+            validate_checksums=validate, compiled=True,
         )
         oracle = build_forwarding_pipeline(
             Capsule("oracle"), routes=routes, validate_checksums=validate
@@ -177,11 +181,11 @@ class TestPushChainDifferential:
             elif event == "decompile":
                 dut.decompile()
                 assert not dut.compiled_active
-            elif event.startswith("recompile-"):
+            elif event == "recompile":
                 # Rebuilding over a still-intercepted region must refuse
                 # (strict=False: stays interpreted), and succeed again
                 # once the region is clean.
-                plan = dut.compile(mode=event.split("-", 1)[1], strict=False)
+                plan = dut.compile(strict=False)
                 if interceptors:
                     assert plan is None and not dut.compiled_active
                 else:
@@ -195,6 +199,11 @@ class TestPushChainDifferential:
 
 
 class TestPullDifferential:
+    """The pull side is not compiled: ports fuse pull slots through
+    ``watch_pull_batch_slot``.  A fused ``Port.pull_batch`` must drain a
+    queue exactly as the interpreted queue's own ``pull_batch`` does,
+    whatever interceptors come and go between pulls."""
+
     @_SETTINGS
     @given(
         ops=st.lists(
@@ -202,42 +211,50 @@ class TestPullDifferential:
                 st.tuples(st.just("push"), st.integers(min_value=0, max_value=6)),
                 st.tuples(st.just("pull"), st.integers(min_value=0, max_value=8)),
                 st.tuples(st.just("intercept"), st.just(0)),
+                st.tuples(st.just("detach"), st.just(0)),
             ),
             min_size=1,
             max_size=12,
         ),
         capacity=st.integers(min_value=1, max_value=8),
     )
-    def test_compiled_pull_equals_interpreted(self, ops, capacity):
-        from repro.opencom import compile_pull
-
+    def test_fused_port_pull_equals_interpreted(self, ops, capacity):
         capsule = Capsule("dut")
+        scheduler = capsule.instantiate(
+            lambda: PriorityLinkScheduler(["q"]), "sched"
+        )
         queue = capsule.instantiate(lambda: FifoQueue(capacity), "q")
-        reference = capsule.instantiate(lambda: FifoQueue(capacity), "q-ref")
-        plan = compile_pull(queue)
+        reference = Capsule("oracle").instantiate(
+            lambda: FifoQueue(capacity), "q"
+        )
+        capsule.bind(
+            scheduler.receptacle("inputs"), queue.interface("pull0"),
+            connection_name="q",
+        )
+        port = scheduler.receptacle("inputs").port("q")
+        port.fuse()
+        interceptor = None
         serial = 0
         for kind, arg in ops:
             if kind == "push":
-                batch = [
-                    make_udp_v4("10.0.0.1", "10.9.9.9", dport=serial + i)
-                    for i in range(arg)
-                ]
+                specs = [("fwd", serial + i) for i in range(arg)]
                 serial += arg
-                twin = [
-                    make_udp_v4("10.0.0.1", "10.9.9.9", dport=p.transport.dport)
-                    for p in batch
-                ]
-                queue.push_batch(batch)
-                reference.push_batch(twin)
+                queue.push_batch([build_packet(s) for s in specs])
+                reference.push_batch([build_packet(s) for s in specs])
             elif kind == "pull":
-                got = plan.handle(arg)
+                got = port.pull_batch(arg)
                 expected = reference.pull_batch(arg)
                 assert [p.transport.dport for p in got] == [
                     p.transport.dport for p in expected
                 ]
-            else:
-                CallCounter().attach_to(queue.interface("pull0"))
-                assert plan.revoked
+            elif kind == "intercept" and interceptor is None:
+                interceptor = CallCounter().attach_to(queue.interface("pull0"))
+            elif kind == "detach" and interceptor is not None:
+                interceptor.detach()
+                interceptor = None
+            # The fused call site follows reflection: native while the
+            # slot is clean, interposed while anything intercepts it.
+            assert (port.pull_batch == queue.pull_batch) == (interceptor is None)
         assert queue.stats() == reference.stats()
         assert queue.depth == reference.depth
 
@@ -301,9 +318,9 @@ shard_steps = st.lists(
 
 class TestShardedDifferential:
     @_SETTINGS
-    @given(schedule=shard_steps, mode=st.sampled_from(["closure", "source"]))
-    def test_compiled_fleet_matches_interpreted_fleet(self, schedule, mode):
-        dut, dut_rec, dut_pools = build_sharded(2, compiled=mode)
+    @given(schedule=shard_steps)
+    def test_compiled_fleet_matches_interpreted_fleet(self, schedule):
+        dut, dut_rec, dut_pools = build_sharded(2, compiled=True)
         oracle, oracle_rec, oracle_pools = build_sharded(2, compiled=False)
         seq = dict.fromkeys(FLOWS, 0)
         emitted = 0

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.netsim import make_udp_v4
-from repro.opencom import Capsule, fuse_pipeline
+from repro.opencom import CallCounter, Capsule, fuse_pipeline
 from repro.router import (
     CollectorSink,
     DrrScheduler,
@@ -234,17 +234,59 @@ class TestPullInterceptionMidStream:
 
     def test_removing_interceptor_restores_native_batch(self):
         capsule = Capsule("icept3")
+        scheduler = capsule.instantiate(
+            lambda: PriorityLinkScheduler(["q"]), "sched"
+        )
         queue = capsule.instantiate(lambda: FifoQueue(100), "q")
+        capsule.bind(
+            scheduler.receptacle("inputs"), queue.interface("pull0"),
+            connection_name="q",
+        )
         for packet in make_packets(10, seed=5):
             push(queue, packet)
+        port = scheduler.receptacle("inputs").port("q")
+        port.fuse()
+        assert port.pull_batch == queue.pull_batch
         vtable = queue.interface("pull0").vtable
-        handle = vtable.fuse_pull_batch("pull")
-        vtable.add_post("pull", "spy", lambda ctx: None)
-        assert handle.revoked is True
-        assert len(handle(4)) == 4
+        seen = []
+        vtable.add_post("pull", "spy", lambda ctx: seen.append(ctx.result))
+        assert port.pull_batch != queue.pull_batch
+        assert len(port.pull_batch(4)) == 4
+        assert len(seen) == 4
         vtable.remove_interceptor("pull", "spy")
-        assert handle.revoked is False
-        assert len(handle(6)) == 6
+        assert port.pull_batch == queue.pull_batch
+        assert len(port.pull_batch(6)) == 6
+        assert len(seen) == 4
+
+    def test_fused_port_drains_like_interpreted_queue(self):
+        """A fused port pulls the same packets, with the same queue stats,
+        as the queue's own pull_batch — before and after reflection on
+        the pull interface re-routes it through the interposed slot."""
+        capsule = Capsule("icept4")
+        scheduler = capsule.instantiate(
+            lambda: PriorityLinkScheduler(["q"]), "sched"
+        )
+        queue = capsule.instantiate(lambda: FifoQueue(64), "q")
+        reference = capsule.instantiate(lambda: FifoQueue(64), "q-ref")
+        capsule.bind(
+            scheduler.receptacle("inputs"), queue.interface("pull0"),
+            connection_name="q",
+        )
+        trace = make_packets(10, seed=6)
+        queue.push_batch(trace)
+        reference.push_batch(list(trace))
+        port = scheduler.receptacle("inputs").port("q")
+        port.fuse()
+
+        assert port.pull_batch(4) == reference.pull_batch(4)
+        assert queue.stats() == reference.stats()
+
+        counter = CallCounter()
+        counter.attach_to(queue.interface("pull0"))
+        assert port.pull_batch(100) == reference.pull_batch(100)
+        assert counter.total() >= 6
+        assert queue.depth == 0
+        assert queue.stats() == reference.stats()
 
 
 class TestSchedulerEmptyInputSkip:

@@ -71,8 +71,8 @@ def test_run_all_smoke_orders_hold(tmp_path):
         # The elastic gate: C16 fails on any frame dropped or reordered
         # across a live resize, or an unbalanced re-carve hand-off.
         "bench_c16_elastic",
-        # The compiled-hot-path gate: C17 fails if the specialised chain
-        # loses the paper ordering or the compilation plan stops
+        # The compiled-hot-path gate: C17 fails if any cell stops
+        # delivering the whole trace or the compilation plan stops
         # reporting an active specialised chain.
         "bench_c17_compiled",
         # The self-adaptation gate: C19 fails if the closed loop stops
