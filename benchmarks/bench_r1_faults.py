@@ -5,10 +5,12 @@ Two halves, one robustness claim:
 **Fault-free control cells.**  The four systems (CF vtable, CF fused,
 Click-style fleet, monolithic fleet) run the identical C15 sharded
 runtime with *no* faults, and the paper's C6 ordering (monolithic ≥
-Click ≥ CF fused ≥ CF vtable, 0.9 slack) must survive — the robustness
-machinery added in this PR (steering indirection, recovery hooks, the
-reliability layer under signaling) is not allowed to cost the fault-free
-datapath its shape.  Pool audits gate zero leaks exactly as in C15.
+Click ≥ CF fused ≥ CF vtable, 0.9 slack) must survive on the full
+profile — the robustness machinery (steering indirection, recovery
+hooks, the reliability layer under signaling) is not allowed to cost
+the fault-free datapath its shape.  ``--smoke`` runs one pass and
+asserts no wall-clock comparison.  Pool audits gate zero leaks exactly
+as in C15.
 
 **The seeded fault scenario.**  A 4-shard CF fused datapath forwards a
 multi-flow trace while a :class:`~repro.netsim.faults.FaultInjector`
@@ -55,13 +57,12 @@ from benchmarks.bench_c15_sharding import (
 )
 from benchmarks.conftest import SMOKE, once, report, scaled
 from repro.coordination import (
-    ActionSet,
     ReconfigCoordinator,
     ReconfigParticipant,
     attach_agents,
-    register_shard_recovery,
 )
 from repro.netsim import FaultInjector, Topology, batched
+from repro.opencom.metamodel import ActionSet
 from repro.osbase import (
     RoundRobinScheduler,
     ThreadManagerCF,
@@ -95,10 +96,12 @@ HEAL_AT = 1.05
 KILL_AT = 0.15
 SIGNALING_LOSS = 0.01
 ROUND_DEADLINE = 0.3
-#: Control cells reuse the C15 runners; full mode gates the 4-shard cell
-#: alone, smoke aggregates 1+4 shards (same noise rationale as C15).
+#: Control cells reuse the C15 runners; full mode times the 4-shard
+#: cell, smoke also audits the 1-shard one.
 CONTROL_SHARDS = (1, 4) if SMOKE else (4,)
-REPEATS = 3
+#: Interleaved best-of repeats for the wall-clock ordering; smoke asserts
+#: only exact counts, so one pass is enough.
+REPEATS = scaled(3, 1)
 
 
 # -- fault-free control --------------------------------------------------------------
@@ -157,17 +160,19 @@ def test_r1_fault_free_control(benchmark):
         assert res["audit"]["balanced"], (key, res["audit"])
         assert res["steer_refused"] == 0, key
 
-    scopes = [CONTROL_SHARDS] if SMOKE else [(s,) for s in CONTROL_SHARDS]
-    for scope in scopes:
+    # Wall-clock comparisons are noise-dominated on the smoke trace;
+    # smoke gates only on the exact audits above.
+    if SMOKE:
+        return
+    for shards in CONTROL_SHARDS:
 
         def pps(name):
-            forwarded = sum(results[(name, s)]["forwarded"] for s in scope)
-            elapsed = sum(results[(name, s)]["elapsed"] for s in scope)
-            return forwarded / elapsed
+            res = results[(name, shards)]
+            return res["forwarded"] / res["elapsed"]
 
-        assert pps("monolithic") >= pps("Click-style") * 0.9, scope
-        assert pps("Click-style") >= pps("CF fused") * 0.9, scope
-        assert pps("CF fused") >= pps("CF vtable") * 0.9, scope
+        assert pps("monolithic") >= pps("Click-style") * 0.9, shards
+        assert pps("Click-style") >= pps("CF fused") * 0.9, shards
+        assert pps("CF fused") >= pps("CF vtable") * 0.9, shards
 
 
 # -- the seeded fault scenario ----------------------------------------------------------
@@ -218,7 +223,7 @@ def build_scenario():
     agents = attach_agents(topo)
     coordinator = ReconfigCoordinator(agents["n0"])
     participant = ReconfigParticipant(agents["n1"])
-    register_shard_recovery(participant, datapath)
+    participant.register("shard-recovery", datapath.recovery_action_set())
     peer = ReconfigParticipant(agents["n2"])
     # The peer's share of a recovery round: acknowledge the re-steer
     # (a real deployment would update its flow tables here).

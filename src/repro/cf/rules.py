@@ -36,7 +36,9 @@ class Violation:
 
 
 class Rule:
-    """Base class for CF plug-in rules."""
+    """Base class for rules.  CF plug-in rules check a component; the
+    adaptation rules (:mod:`repro.coordination.adaptation`) override
+    ``check`` to take an (action, system view) pair."""
 
     #: Human-readable rule name used in violation reports.
     name = "rule"

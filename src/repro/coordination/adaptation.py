@@ -25,10 +25,10 @@ Governance before actuation, concretely:
   admission tier's Router-CF rules (:mod:`repro.cf.rules`) before the
   swap is attempted.
 
-The rule objects share the ``check(subject, ...) -> list[str]``
-convention of :mod:`repro.cf.rules`, so
-:func:`~repro.cf.rules.explain_rules` produces the typed
-(rule, reason) pairs for both CF plug-in rules and adaptation rules.
+The adaptation rules are :class:`repro.cf.rules.Rule` subclasses that
+check (action, view) pairs, so :func:`~repro.cf.rules.explain_rules`
+produces the typed (rule, reason) pairs for both CF plug-in rules and
+adaptation rules.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.cf.rules import Violation, explain_rules
+from repro.cf.rules import Rule, Violation, explain_rules
 
 
 class AdaptationError(Exception):
@@ -226,20 +226,7 @@ class SystemView:
 # ---------------------------------------------------------------------------
 
 
-class AdaptationRule:
-    """Base: same contract as :class:`repro.cf.rules.Rule` but over
-    (action, view) pairs."""
-
-    name = "adaptation-rule"
-
-    def check(self, action: AdaptationAction, view: SystemView) -> list[str]:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return f"<{type(self).__name__} {self.name}>"
-
-
-class NoResizeDuringRound(AdaptationRule):
+class NoResizeDuringRound(Rule):
     """An elastic resize must not start while a two-phase round is open
     (the rounds are mutually exclusive inside the datapath; this rule
     turns the late refusal into an up-front typed veto)."""
@@ -257,7 +244,7 @@ class NoResizeDuringRound(AdaptationRule):
         return []
 
 
-class NoSwapOnLivePort(AdaptationRule):
+class NoSwapOnLivePort(Rule):
     """Discipline swaps must quiesce the admission port they mutate: an
     action opting out (``quiesce=False``) while the port is live is
     refused."""
@@ -277,7 +264,7 @@ class NoSwapOnLivePort(AdaptationRule):
         return []
 
 
-class DecompileBeforeVtableMutation(AdaptationRule):
+class DecompileBeforeVtableMutation(Rule):
     """Compiled hot-path regions must be torn down before a swap mutates
     vtables: an action opting out (``decompile=False``) while regions
     run compiled is refused."""
@@ -299,7 +286,7 @@ class DecompileBeforeVtableMutation(AdaptationRule):
         return []
 
 
-class CfAdmissible(AdaptationRule):
+class CfAdmissible(Rule):
     """The replacement component must itself satisfy the admission
     tier's CF rules — the :mod:`repro.cf.rules` half of validation.  A
     probe instance is built from the action's factory and checked
@@ -321,7 +308,7 @@ class CfAdmissible(AdaptationRule):
         return [f"replacement rejected by CF: {failure}" for failure in failures]
 
 
-def adaptation_rules() -> list[AdaptationRule]:
+def adaptation_rules() -> list[Rule]:
     """The stock adaptation rule set (fresh instances)."""
     return [
         NoResizeDuringRound(),
@@ -584,14 +571,14 @@ class AdaptationManager:
         monitor: Any,
         *,
         policies: Sequence[Policy] = (),
-        rules: Sequence[AdaptationRule] | None = None,
+        rules: Sequence[Rule] | None = None,
         window_size: int = 16,
         clock: Any = None,
     ) -> None:
         self.view = view
         self.monitor = monitor
         self.engine = PolicyEngine(policies)
-        self.rules: list[AdaptationRule] = (
+        self.rules: list[Rule] = (
             list(rules) if rules is not None else adaptation_rules()
         )
         self.window = ContextWindow(window_size)

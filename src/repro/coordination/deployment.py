@@ -316,7 +316,7 @@ class StagedRollout:
     set quiesces ingress, drains the running datapath through the PR 6/7
     quiesce machinery, swaps in the new pipeline version, and re-steers
     parked frames (see
-    :func:`~repro.coordination.reconfig.register_capsule_upgrade`).  If
+    :meth:`~repro.router.fleet.CapsuleNode.upgrade_action_set`).  If
     the round aborts — the capsule refused to quiesce, the new version
     failed to build, the deadline expired mid-partition — the rollout
     stops with the fleet untouched.  If it commits, *health_check* probes

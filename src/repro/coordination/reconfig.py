@@ -12,11 +12,13 @@ protocol over signaling:
   triggers ``reconfig.abort`` (resume unchanged).
 
 Action sets bind the protocol to real local work: each participating node
-registers ``quiesce`` / ``apply`` / ``resume`` / ``rollback`` callables,
+registers an :class:`~repro.opencom.metamodel.ActionSet` per kind —
 typically closing an :class:`~repro.opencom.metamodel.interception.AdmissionGate`,
-calling ``architecture.replace_component``, and reopening.  The protocol
-therefore drives exactly the same machinery as local hot swap, but
-network-wide — the "evolution of deployed software" story.
+calling ``architecture.replace_component``, and reopening — and the
+participant resolves a prepared round through the set's own
+``commit``/``abort``.  The protocol therefore drives exactly the same
+kernel as a local ``ActionSet.run``, but network-wide — the "evolution
+of deployed software" story.
 
 Failure model
 -------------
@@ -30,37 +32,26 @@ still missing at that engine time, and the abort is itself delivered
 reliably, so prepared participants roll back and resume instead of
 holding their targets quiesced forever.  Every round therefore
 terminates in ``committed`` or ``aborted`` — the invariant the R1 fault
-bench gates on.  :func:`register_shard_recovery` wires the sharded
-datapath's drain-and-re-steer failover
-(:meth:`~repro.osbase.sharding.ShardedDatapath.recovery_action_set`)
-into this protocol.
+bench gates on.  ``participant.register("shard-recovery",
+datapath.recovery_action_set())`` wires the sharded datapath's
+drain-and-re-steer failover into this protocol.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.coordination.signaling import SignalingAgent
 from repro.opencom.errors import OpenComError
+from repro.opencom.metamodel import ActionSet
 
 _ROUND_IDS = itertools.count(1)
 
 
 class ReconfigError(OpenComError):
     """Reconfiguration protocol failure."""
-
-
-@dataclass
-class ActionSet:
-    """Local actions a participant runs for one reconfiguration kind."""
-
-    quiesce: Callable[[dict], bool]
-    apply: Callable[[dict], None]
-    resume: Callable[[dict], None]
-    rollback: Callable[[dict], None] | None = None
 
 
 @dataclass
@@ -214,34 +205,28 @@ class ReconfigParticipant:
 
     def _on_commit(self, message: dict, sender: str) -> None:
         round_id = message["round"]
-        prepared = self._prepared.pop(round_id, None)
-        if prepared is None:
+        if self._prepared.pop(round_id, None) is None:
             return
         actions = self._actions[message["kind"]]
         try:
-            actions.apply(message["parameters"])
-            self.log.append(f"commit {round_id}: applied")
-        except Exception as exc:  # noqa: BLE001 - roll back on apply failure
+            actions.commit(message["parameters"])
+        except Exception as exc:  # noqa: BLE001 - commit rolled back and resumed
             self.log.append(f"commit {round_id}: apply failed: {exc!r}")
             if actions.rollback is not None:
-                actions.rollback(message["parameters"])
                 self.log.append(f"commit {round_id}: rolled back")
-        finally:
-            actions.resume(message["parameters"])
-            self.log.append(f"commit {round_id}: resumed")
+        else:
+            self.log.append(f"commit {round_id}: applied")
+        self.log.append(f"commit {round_id}: resumed")
 
     def _on_abort(self, message: dict, sender: str) -> None:
         round_id = message["round"]
-        prepared = self._prepared.pop(round_id, None)
-        actions = self._actions.get(message["kind"])
-        if actions is None:
+        if self._prepared.pop(round_id, None) is None:
             return
-        if prepared is not None:
-            if actions.rollback is not None:
-                actions.rollback(message["parameters"])
-                self.log.append(f"abort {round_id}: rolled back")
-            actions.resume(message["parameters"])
-            self.log.append(f"abort {round_id}: resumed unchanged")
+        actions = self._actions[message["kind"]]
+        actions.abort(message["parameters"])
+        if actions.rollback is not None:
+            self.log.append(f"abort {round_id}: rolled back")
+        self.log.append(f"abort {round_id}: resumed unchanged")
 
     def _vote(self, message: dict, yes: bool) -> None:
         self.signaling.send_reliable(
@@ -250,78 +235,3 @@ class ReconfigParticipant:
             round=message["round"],
             yes=yes,
         )
-
-
-def register_shard_recovery(
-    participant: ReconfigParticipant,
-    datapath: Any,
-    *,
-    kind: str = "shard-recovery",
-) -> None:
-    """Bind a sharded datapath's failure-domain recovery to the two-phase
-    protocol.
-
-    *datapath* is any object exposing ``recovery_action_set()`` (the
-    :class:`~repro.osbase.sharding.ShardedDatapath` contract: a mapping
-    of ``quiesce``/``apply``/``resume``/``rollback`` callables keyed for
-    :class:`ActionSet`, each taking the round's parameter dict — which
-    must carry ``{"shard": <dead index>}`` and may carry ``{"to":
-    <successor index>}``).  osbase cannot import upward, so the bridge
-    from duck-typed callables to a registered ActionSet lives here, on
-    the coordination side.
-
-    A committed round performs quiesce → drain-through-peers → re-steer
-    (`docs/robustness.md` walks the sequence); an aborted round — lost
-    votes, a deadline expiry mid-partition — rolls the quiesce back, and
-    the supervisor's failover stealing keeps the dead shard's backlog
-    draining in the meantime.
-    """
-    participant.register(kind, ActionSet(**datapath.recovery_action_set()))
-
-
-def register_shard_resize(
-    participant: ReconfigParticipant,
-    datapath: Any,
-    *,
-    kind: str = "shard-resize",
-) -> None:
-    """Bind a sharded datapath's elastic resize to the two-phase
-    protocol.
-
-    *datapath* is any object exposing ``resize_action_set()`` (the
-    :class:`~repro.osbase.sharding.ShardedDatapath` contract: a mapping
-    of ``quiesce``/``apply``/``resume``/``rollback`` callables keyed for
-    :class:`ActionSet`, each taking the round's parameter dict — which
-    must carry ``{"shards": <target worker count>}``).  As with
-    recovery, osbase cannot import upward, so the bridge lives here.
-
-    A committed round performs quiesce-all → drain-before-rehash →
-    pool re-carve → table swap (`docs/concurrency.md` walks the
-    sequence); an aborted round — a refused target, a held buffer
-    failing the exact pool hand-off, a deadline expiry — rolls the
-    quiesce back with the fleet untouched and every parked frame
-    returned to its ring.
-    """
-    participant.register(kind, ActionSet(**datapath.resize_action_set()))
-
-
-def register_capsule_upgrade(
-    participant: ReconfigParticipant,
-    capsule_node: Any,
-    *,
-    kind: str = "capsule-upgrade",
-) -> None:
-    """Bind a fleet capsule's staged pipeline upgrade to the two-phase
-    protocol.
-
-    *capsule_node* is any object exposing ``upgrade_action_set()`` (the
-    :class:`~repro.router.fleet.CapsuleNode` contract: quiesce parks
-    ingress and drains the running datapath to empty; apply swaps in the
-    pipeline version named by ``{"version": ...}``; resume re-steers the
-    parked frames into whichever datapath survived; rollback re-installs
-    the previous version).  The canary-gated driver over this kind is
-    :class:`~repro.coordination.deployment.StagedRollout` — an aborted
-    or reverted round leaves the capsule processing exactly the bytes it
-    would have processed had the round never started.
-    """
-    participant.register(kind, ActionSet(**capsule_node.upgrade_action_set()))

@@ -2,7 +2,11 @@
 (introspection), interception (vtable-level behavioural reflection), and
 resources (task/resource management)."""
 
-from repro.opencom.metamodel.architecture import ArchitectureMetaModel, GraphView
+from repro.opencom.metamodel.architecture import (
+    ActionSet,
+    ArchitectureMetaModel,
+    GraphView,
+)
 from repro.opencom.metamodel.interception import Interceptor, intercept_interface
 from repro.opencom.metamodel.interface_meta import describe_component, describe_interface
 from repro.opencom.metamodel.resources import (
@@ -12,6 +16,7 @@ from repro.opencom.metamodel.resources import (
 )
 
 __all__ = [
+    "ActionSet",
     "ArchitectureMetaModel",
     "GraphView",
     "Interceptor",

@@ -10,7 +10,10 @@ on every instantiate/destroy/bind/unbind, and offers:
 - safe dynamic reconfiguration: :meth:`replace_component` performs the
   quiesce → unbind → swap → rebind → resume sequence that underpins the
   24x7-operation story, preserving the old component's connections and
-  (optionally) migrating its state.
+  (optionally) migrating its state;
+- the two-phase kernel every other reconfiguration runs through:
+  :class:`ActionSet` (shard recovery, elastic resize, capsule upgrade,
+  and whatever a distributed round registers).
 """
 
 from __future__ import annotations
@@ -338,3 +341,49 @@ class ArchitectureMetaModel:
             )
         lines.append("}")
         return "\n".join(lines)
+
+
+@dataclass
+class ActionSet:
+    """One reconfiguration as quiesce/apply/resume/rollback callables over
+    a parameter dict, and the only driver of their sequence.
+
+    ``quiesce`` prepares the target (parks, drains) and returns False to
+    refuse; ``apply`` performs the change; ``resume`` reopens; the
+    optional ``rollback`` undoes a prepared round.  A local caller uses
+    :meth:`run`; a distributed round
+    (:class:`repro.coordination.reconfig.ReconfigParticipant`) calls
+    ``quiesce`` at prepare and :meth:`commit` or :meth:`abort` once the
+    votes are in.  On every path past quiesce ``resume`` runs exactly
+    once, even when rollback raises.
+    """
+
+    quiesce: Callable[[dict], bool]
+    apply: Callable[[dict], None]
+    resume: Callable[[dict], None]
+    rollback: Callable[[dict], None] | None = None
+
+    def run(self, params: dict) -> bool:
+        """Quiesce, then :meth:`commit`; False when quiesce refuses."""
+        if not self.quiesce(params):
+            return False
+        self.commit(params)
+        return True
+
+    def commit(self, params: dict) -> None:
+        """Apply, then resume; if apply raises, :meth:`abort` and
+        re-raise."""
+        try:
+            self.apply(params)
+        except Exception:
+            self.abort(params)
+            raise
+        self.resume(params)
+
+    def abort(self, params: dict) -> None:
+        """Roll back (when the set has a rollback), then resume."""
+        try:
+            if self.rollback is not None:
+                self.rollback(params)
+        finally:
+            self.resume(params)

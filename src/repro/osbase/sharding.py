@@ -43,11 +43,9 @@ own quantum down — the supervisor's failover stealing keeps the dead
 shard's backlog draining through live peers immediately.  Stealing is a
 stopgap, not recovery: the dead bucket keeps accumulating new arrivals.
 True recovery is the *drain-before-rehash* sequence exposed as a
-quiesce/apply/resume/rollback action set
-(:meth:`ShardedDatapath.recovery_action_set`, bridged to the two-phase
-reconfiguration protocol by
-:func:`repro.coordination.reconfig.register_shard_recovery` — osbase
-never imports upward, so the bridge lives on the coordination side):
+quiesce/apply/resume/rollback :class:`~repro.opencom.metamodel.ActionSet`
+(:meth:`ShardedDatapath.recovery_action_set`, which a two-phase
+reconfiguration participant registers as is):
 
 1. **quiesce** parks new frames for the dead hash bucket (arrival order
    kept) and picks a live successor;
@@ -75,9 +73,8 @@ indirection table (:attr:`RssSteering.table`; the default identity table
 keeps the historical ``hash % N`` behaviour bit-for-bit), so a resize
 re-targets *table entries*, not the hash: an unaffected bucket keeps its
 home, an affected bucket moves exactly once per resize.  The action set
-(:meth:`ShardedDatapath.resize_action_set`, bridged by
-``register_shard_resize`` on the coordination side; the local driver is
-:meth:`ShardedDatapath.resize`):
+(:meth:`ShardedDatapath.resize_action_set`; :meth:`ShardedDatapath.resize`
+runs it locally):
 
 1. **quiesce** parks every bucket's arrivals (arrival order kept) and
    plans the new table — buckets whose target is removed (or dead) are
@@ -113,6 +110,7 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.opencom.errors import OpenComError, ResourceError
+from repro.opencom.metamodel import ActionSet
 from repro.osbase.buffers import recarve_shard_pools
 
 
@@ -642,28 +640,22 @@ class ShardedDatapath:
 
     # -- failure-domain recovery ----------------------------------------------------
 
-    def recovery_action_set(self) -> dict[str, Callable[[dict], Any]]:
-        """The drain-and-re-steer recovery as quiesce/apply/resume/
-        rollback callables (each takes the round's parameter dict, which
-        must carry ``{"shard": <dead index>}`` and may carry ``{"to":
-        <successor index>}``).
-
-        Shaped for :class:`repro.coordination.reconfig.ActionSet` —
-        ``register_shard_recovery`` on the coordination side does the
-        wrapping, because osbase cannot import upward.  The local
-        no-protocol driver is :meth:`recover_shard`.
-        """
-        return {
-            "quiesce": self._recovery_quiesce,
-            "apply": self._recovery_apply,
-            "resume": self._recovery_resume,
-            "rollback": self._recovery_rollback,
-        }
+    def recovery_action_set(self) -> ActionSet:
+        """The drain-and-re-steer recovery as an action set (the round's
+        parameter dict must carry ``{"shard": <dead index>}`` and may
+        carry ``{"to": <successor index>}``)."""
+        return ActionSet(
+            self._recovery_quiesce,
+            self._recovery_apply,
+            self._recovery_resume,
+            self._recovery_rollback,
+        )
 
     def _pick_successor(self, dead: int, to: int | None) -> int | None:
         if to is not None:
             valid = (
                 isinstance(to, int)
+                and not isinstance(to, bool)
                 and 0 <= to < len(self.shards)
                 and to != dead
                 and not self._workers[to].done
@@ -687,7 +679,9 @@ class ShardedDatapath:
         (→ vote no) when the parameters are invalid, the shard is
         already mid-recovery, or no live successor exists."""
         dead = params.get("shard")
-        if not isinstance(dead, int) or not 0 <= dead < len(self.shards):
+        if not isinstance(dead, int) or isinstance(dead, bool):
+            return False
+        if not 0 <= dead < len(self.shards):
             return False
         if dead in self._pending_recovery or dead in self._redirect:
             return False
@@ -803,26 +797,16 @@ class ShardedDatapath:
         self._recovery_requested.discard(dead)
 
     def recover_shard(self, index: int, *, to: int | None = None) -> dict:
-        """Run the whole recovery locally (no coordination protocol):
-        quiesce → apply → resume, rolling back if apply raises.  Returns
-        the recovery record.  The networked path is
-        ``register_shard_recovery`` + a reconfiguration round."""
+        """Run the whole recovery locally (no coordination protocol)
+        through :meth:`ActionSet.run`; returns the recovery record."""
         params: dict[str, Any] = {"shard": index}
         if to is not None:
             params["to"] = to
-        actions = self.recovery_action_set()
-        if not actions["quiesce"](params):
+        if not self.recovery_action_set().run(params):
             raise ShardingError(
                 f"shard {index} recovery refused (bad index, already "
                 f"recovering, or no live successor)"
             )
-        try:
-            actions["apply"](params)
-        except Exception:
-            actions["rollback"](params)
-            actions["resume"](params)
-            raise
-        actions["resume"](params)
         return self.recoveries[-1]
 
     def parked_count(self) -> int:
@@ -833,22 +817,15 @@ class ShardedDatapath:
 
     # -- elastic resizing -----------------------------------------------------------
 
-    def resize_action_set(self) -> dict[str, Callable[[dict], Any]]:
-        """The elastic resize as quiesce/apply/resume/rollback callables
-        (each takes the round's parameter dict, which must carry
-        ``{"shards": <target count>}``).
-
-        Shaped for :class:`repro.coordination.reconfig.ActionSet` —
-        ``register_shard_resize`` on the coordination side does the
-        wrapping, because osbase cannot import upward.  The local
-        no-protocol driver is :meth:`resize`.
-        """
-        return {
-            "quiesce": self._resize_quiesce,
-            "apply": self._resize_apply,
-            "resume": self._resize_resume,
-            "rollback": self._resize_rollback,
-        }
+    def resize_action_set(self) -> ActionSet:
+        """The elastic resize as an action set (the round's parameter
+        dict must carry ``{"shards": <target count>}``)."""
+        return ActionSet(
+            self._resize_quiesce,
+            self._resize_apply,
+            self._resize_resume,
+            self._resize_rollback,
+        )
 
     def _plan_table(self, n: int) -> tuple[list[int], list[int]] | None:
         """A new bucket table for a fleet of *n* shards, moving as few
@@ -1161,24 +1138,14 @@ class ShardedDatapath:
 
     def resize(self, n: int) -> dict:
         """Run the whole elastic resize locally (no coordination
-        protocol): quiesce → apply → resume, rolling back if apply
-        raises.  Returns the resize record.  The networked path is
-        ``register_shard_resize`` + a reconfiguration round."""
-        params: dict[str, Any] = {"shards": n}
-        actions = self.resize_action_set()
-        if not actions["quiesce"](params):
+        protocol) through :meth:`ActionSet.run`; returns the resize
+        record."""
+        if not self.resize_action_set().run({"shards": n}):
             raise ShardingError(
                 f"resize to {n} shards refused (invalid target, another "
                 f"round in flight, growth without a shard factory, or no "
                 f"live home)"
             )
-        try:
-            actions["apply"](params)
-        except Exception:
-            actions["rollback"](params)
-            actions["resume"](params)
-            raise
-        actions["resume"](params)
         return self.resizes[-1]
 
     # -- runtime tuning (the adaptation stratum's knobs) --------------------------
@@ -1342,6 +1309,17 @@ class ShardedDatapath:
             alive = remaining_alive
         return steps
 
+    def _abort_open_rounds(self) -> None:
+        """Abort every in-flight recovery/resize round, then return any
+        orphaned park list (no pending round) to its own ring."""
+        for dead in sorted(self._pending_recovery):
+            self.recovery_action_set().abort({"shard": dead})
+        if self._pending_resize is not None:
+            self.resize_action_set().abort(
+                {"shards": self._pending_resize["target"]}
+            )
+        self._unpark_all()
+
     def _dead_worker_report(self) -> str:
         """Diagnostic suffix naming crashed workers and their errors."""
         dead = [
@@ -1370,11 +1348,7 @@ class ShardedDatapath:
         by the caller.
         """
         if not self._stopping:
-            for dead in sorted(self._pending_recovery):
-                self._recovery_rollback({"shard": dead})
-            if self._pending_resize is not None:
-                self._resize_rollback({"shards": self._pending_resize["target"]})
-            self._unpark_all()
+            self._abort_open_rounds()
         abandoned = 0
         for shard in self.shards:
             while True:
@@ -1401,15 +1375,7 @@ class ShardedDatapath:
         engines before the stop — a graceful park-and-drain shutdown.
         """
         if not self._stopping:
-            for dead in sorted(self._pending_recovery):
-                self._recovery_rollback({"shard": dead})
-            if self._pending_resize is not None:
-                self._resize_rollback(
-                    {"shards": self._pending_resize["target"]}
-                )
-            # Defensive: an orphaned park list (no pending round) must
-            # not strand frames either.
-            self._unpark_all()
+            self._abort_open_rounds()
             if drain:
                 for shard in self.shards:
                     while True:

@@ -46,6 +46,7 @@ from repro.netsim.node import Node
 from repro.netsim.topology import Topology
 from repro.netsim.wire import PacketError, WirePacket, flow_hash_of
 from repro.opencom.errors import OpenComError
+from repro.opencom.metamodel import ActionSet
 from repro.osbase.buffers import release_dropped
 from repro.osbase.sharding import HashRing
 
@@ -176,10 +177,9 @@ class CapsuleNode:
         for frame in parked:
             self._steer(frame)
 
-    def upgrade_action_set(self) -> dict[str, Callable]:
-        """Quiesce / apply / resume / rollback callables for a
-        ``capsule-upgrade`` two-phase round (see
-        :func:`~repro.coordination.reconfig.register_capsule_upgrade`).
+    def upgrade_action_set(self) -> ActionSet:
+        """The staged pipeline upgrade as an action set, registered for
+        ``capsule-upgrade`` rounds by :func:`build_capsule_fleet`.
 
         Quiesce parks ingress at the node boundary and drains the
         running datapath to empty; apply installs the round's
@@ -214,12 +214,7 @@ class CapsuleNode:
             if self._upgrade_prev is not None and self.version != self._upgrade_prev:
                 self.install(self._upgrade_prev)
 
-        return {
-            "quiesce": quiesce,
-            "apply": apply,
-            "resume": resume,
-            "rollback": rollback,
-        }
+        return ActionSet(quiesce, apply, resume, rollback)
 
     # -- introspection ------------------------------------------------------------
 
@@ -480,11 +475,7 @@ def build_capsule_fleet(
     bandwidth, backlog) apply to every edge→capsule link.
     """
     from repro.coordination.deployment import StagedRollout
-    from repro.coordination.reconfig import (
-        ReconfigCoordinator,
-        ReconfigParticipant,
-        register_capsule_upgrade,
-    )
+    from repro.coordination.reconfig import ReconfigCoordinator, ReconfigParticipant
     from repro.coordination.rsvp import EdgeAdmission, RsvpAgent
     from repro.coordination.signaling import attach_agents
     from repro.ixp.placement import FleetPlacement
@@ -556,7 +547,7 @@ def build_capsule_fleet(
     participants: dict[str, Any] = {}
     for name in names:
         participant = ReconfigParticipant(agents[name])
-        register_capsule_upgrade(participant, nodes[name])
+        participant.register("capsule-upgrade", nodes[name].upgrade_action_set())
         participants[name] = participant
 
     fleet = CapsuleFleet(

@@ -232,15 +232,15 @@ class TestVetoPaths:
         system = build_system(shards=2)
         datapath, manager = system["datapath"], system["manager"]
         actions = datapath.resize_action_set()
-        assert actions["quiesce"]({"shards": 1})
+        assert actions.quiesce({"shards": 1})
         assert not manager.request(AdaptationAction("resize", {"shards": 4}))
         veto = manager.vetoes[-1]
         assert isinstance(veto, AdaptationVeto)
         assert veto.rule == "no-resize-during-round"
         assert "two-phase round" in veto.reason
         assert len(datapath.shards) == 2  # nothing actuated
-        actions["rollback"]({"shards": 1})
-        actions["resume"]({"shards": 1})
+        actions.rollback({"shards": 1})
+        actions.resume({"shards": 1})
         assert serve(system) > 0
         assert datapath.parked_count() == 0
         # With the round closed the same action is clean.

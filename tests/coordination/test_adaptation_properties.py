@@ -307,15 +307,15 @@ class ScheduleRun:
         if variant == "round":
             target = 3 if len(self.datapath.shards) != 3 else 4
             actions = self.datapath.resize_action_set()
-            if not actions["quiesce"]({"shards": target}):
+            if not actions.quiesce({"shards": target}):
                 return
             before = self.observe()
             applied = self.manager.request(
                 AdaptationAction("resize", {"shards": target})
             )
             after = self.observe()
-            actions["rollback"]({"shards": target})
-            actions["resume"]({"shards": target})
+            actions.rollback({"shards": target})
+            actions.resume({"shards": target})
         elif variant == "live-port":
             before = self.observe()
             applied = self.manager.request(

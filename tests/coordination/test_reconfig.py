@@ -3,15 +3,13 @@
 import pytest
 
 from repro.coordination import (
-    ActionSet,
     ReconfigCoordinator,
     ReconfigError,
     ReconfigParticipant,
     attach_agents,
-    register_shard_recovery,
-    register_shard_resize,
 )
 from repro.netsim import FaultInjector, Topology
+from repro.opencom.metamodel import ActionSet
 
 
 def link_between(topo, a, b):
@@ -235,6 +233,57 @@ class TestRollbackOrdering:
         assert rolled < resumed
 
 
+#: Call sequence per kernel outcome; the same locally and in a round.
+KERNEL_OUTCOMES = {
+    "commit": ["quiesce", "apply", "resume"],
+    "refused": ["quiesce"],
+    "apply-raises": ["quiesce", "apply", "rollback", "resume"],
+    "apply-and-rollback-raise": ["quiesce", "apply", "rollback", "resume"],
+}
+
+
+def recording_actions(calls, outcome):
+    def step(name, *, result=None, raises=False):
+        def run(params):
+            calls.append(name)
+            if raises:
+                raise RuntimeError(f"{name} failure")
+            return result
+
+        return run
+
+    return ActionSet(
+        quiesce=step("quiesce", result=outcome != "refused"),
+        apply=step("apply", raises=outcome.startswith("apply")),
+        resume=step("resume"),
+        rollback=step("rollback", raises=outcome == "apply-and-rollback-raise"),
+    )
+
+
+@pytest.mark.parametrize("outcome", list(KERNEL_OUTCOMES))
+def test_local_run_and_a_round_drive_one_kernel(network, outcome):
+    local = []
+    actions = recording_actions(local, outcome)
+    error = {
+        "apply-raises": "apply failure",
+        "apply-and-rollback-raise": "rollback failure",
+    }.get(outcome)
+    if error is None:
+        assert actions.run({}) is (outcome != "refused")
+    else:
+        with pytest.raises(RuntimeError, match=error):
+            actions.run({})
+
+    topo, coordinator, participants = network
+    remote = []
+    participants["leaf0"].register("k", recording_actions(remote, outcome))
+    round_ = coordinator.start("k", ["leaf0"])
+    topo.engine.run()
+    assert round_.status == ("aborted" if outcome == "refused" else "committed")
+    assert local == remote == KERNEL_OUTCOMES[outcome]
+    assert local.count("resume") == (0 if outcome == "refused" else 1)
+
+
 class FakeRecoverableDatapath:
     """Duck-typed stand-in for ShardedDatapath.recovery_action_set()."""
 
@@ -243,17 +292,17 @@ class FakeRecoverableDatapath:
         self.quiesce_ok = quiesce_ok
 
     def recovery_action_set(self):
-        return {
-            "quiesce": lambda params: (
+        return ActionSet(
+            quiesce=lambda params: (
                 self.calls.append(("quiesce", params["shard"])),
                 self.quiesce_ok,
             )[1],
-            "apply": lambda params: self.calls.append(("apply", params["shard"])),
-            "resume": lambda params: self.calls.append(("resume", params["shard"])),
-            "rollback": lambda params: self.calls.append(
+            apply=lambda params: self.calls.append(("apply", params["shard"])),
+            resume=lambda params: self.calls.append(("resume", params["shard"])),
+            rollback=lambda params: self.calls.append(
                 ("rollback", params["shard"])
             ),
-        }
+        )
 
 
 class TestShardRecoveryBridge:
@@ -262,7 +311,9 @@ class TestShardRecoveryBridge:
         datapaths = {}
         for node, participant in participants.items():
             datapaths[node] = FakeRecoverableDatapath()
-            register_shard_recovery(participant, datapaths[node])
+            participant.register(
+                "shard-recovery", datapaths[node].recovery_action_set()
+            )
         round_ = coordinator.start(
             "shard-recovery", list(participants), {"shard": 2}, deadline=1.0
         )
@@ -279,7 +330,9 @@ class TestShardRecoveryBridge:
         datapaths = {}
         for node, participant in items:
             datapaths[node] = FakeRecoverableDatapath(quiesce_ok=(node != "leaf2"))
-            register_shard_recovery(participant, datapaths[node])
+            participant.register(
+                "shard-recovery", datapaths[node].recovery_action_set()
+            )
         round_ = coordinator.start("shard-recovery", list(participants), {"shard": 0})
         topo.engine.run()
         assert round_.status == "aborted"
@@ -304,17 +357,17 @@ class FakeResizableDatapath:
             if self.apply_raises:
                 raise RuntimeError("re-carve hand-off failed")
 
-        return {
-            "quiesce": lambda params: (
+        return ActionSet(
+            quiesce=lambda params: (
                 self.calls.append(("quiesce", params["shards"])),
                 self.quiesce_ok,
             )[1],
-            "apply": apply,
-            "resume": lambda params: self.calls.append(("resume", params["shards"])),
-            "rollback": lambda params: self.calls.append(
+            apply=apply,
+            resume=lambda params: self.calls.append(("resume", params["shards"])),
+            rollback=lambda params: self.calls.append(
                 ("rollback", params["shards"])
             ),
-        }
+        )
 
 
 class TestShardResizeBridge:
@@ -323,7 +376,7 @@ class TestShardResizeBridge:
         datapaths = {}
         for node, participant in participants.items():
             datapaths[node] = FakeResizableDatapath()
-            register_shard_resize(participant, datapaths[node])
+            participant.register("shard-resize", datapaths[node].resize_action_set())
         round_ = coordinator.start(
             "shard-resize", list(participants), {"shards": 6}, deadline=1.0
         )
@@ -340,10 +393,10 @@ class TestShardResizeBridge:
         datapaths = {}
         for node, participant in items[:-1]:
             datapaths[node] = FakeResizableDatapath()
-            register_shard_resize(participant, datapaths[node])
+            participant.register("shard-resize", datapaths[node].resize_action_set())
         refuser_name, refuser = items[-1]
         datapaths[refuser_name] = FakeResizableDatapath(quiesce_ok=False)
-        register_shard_resize(refuser, datapaths[refuser_name])
+        refuser.register("shard-resize", datapaths[refuser_name].resize_action_set())
         round_ = coordinator.start(
             "shard-resize", list(participants), {"shards": 0}, deadline=1.0
         )
@@ -363,10 +416,10 @@ class TestShardResizeBridge:
         datapaths = {}
         failing_name, failing = items[0]
         datapaths[failing_name] = FakeResizableDatapath(apply_raises=True)
-        register_shard_resize(failing, datapaths[failing_name])
+        failing.register("shard-resize", datapaths[failing_name].resize_action_set())
         for node, participant in items[1:]:
             datapaths[node] = FakeResizableDatapath()
-            register_shard_resize(participant, datapaths[node])
+            participant.register("shard-resize", datapaths[node].resize_action_set())
         round_ = coordinator.start(
             "shard-resize", list(participants), {"shards": 4}, deadline=1.0
         )
@@ -389,8 +442,10 @@ class TestShardResizeBridge:
         datapaths = {}
         for node, participant in participants.items():
             datapaths[node] = Both()
-            register_shard_recovery(participant, datapaths[node])
-            register_shard_resize(participant, datapaths[node])
+            participant.register(
+                "shard-recovery", datapaths[node].recovery_action_set()
+            )
+            participant.register("shard-resize", datapaths[node].resize_action_set())
         first = coordinator.start(
             "shard-resize", list(participants), {"shards": 3}, deadline=1.0
         )

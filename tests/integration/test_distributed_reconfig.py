@@ -10,13 +10,13 @@ version of the C4 experiment.
 import pytest
 
 from repro.coordination import (
-    ActionSet,
     ReconfigCoordinator,
     ReconfigParticipant,
     attach_agents,
 )
 from repro.netsim import Topology, make_udp_v4
 from repro.opencom import AdmissionGate
+from repro.opencom.metamodel import ActionSet
 from repro.router import FifoQueue, RedQueue, build_figure3_composite
 
 

@@ -402,11 +402,11 @@ class TestShardingHooks:
         datapath = self._datapath(shards=2)
         actions = datapath.resize_action_set()
         params = {"shards": 1}
-        assert actions["quiesce"](params)
+        assert actions.quiesce(params)
         for shard in datapath.shards:
             assert not shard.engine.compiled_active
-        actions["rollback"](params)
-        actions["resume"](params)
+        actions.rollback(params)
+        actions.resume(params)
         for shard in datapath.shards:
             assert shard.engine.compiled_active
         datapath.shutdown()
@@ -422,9 +422,9 @@ class TestShardingHooks:
         datapath = self._datapath(shards=2)
         actions = datapath.recovery_action_set()
         params = {"shard": 0}
-        assert actions["quiesce"](params)
+        assert actions.quiesce(params)
         assert not datapath.shards[0].engine.compiled_active
-        actions["rollback"](params)
-        actions["resume"](params)
+        actions.rollback(params)
+        actions.resume(params)
         assert datapath.shards[0].engine.compiled_active
         datapath.shutdown()

@@ -155,11 +155,11 @@ class ScheduleRun:
                 self.pump()
             else:  # aborted round: quiesce, park a wave, roll back
                 actions = self.datapath.resize_action_set()
-                if not actions["quiesce"]({"shards": arg}):
+                if not actions.quiesce({"shards": arg}):
                     continue
                 self.emit(1, pump=False)  # parks on the elastic side
-                actions["rollback"]({"shards": arg})
-                actions["resume"]({"shards": arg})
+                actions.rollback({"shards": arg})
+                actions.resume({"shards": arg})
                 self.pump()
         self.emit(1)  # the fleet must still be live after the schedule
         return self

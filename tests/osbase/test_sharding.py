@@ -628,7 +628,7 @@ class TestShardRecovery:
         datapath = build(shards, pools, recorder)
         actions = datapath.recovery_action_set()
         params = {"shard": 0}
-        assert actions["quiesce"](params) is True
+        assert actions.quiesce(params) is True
         flows = flows_on_shard(0, shards, count=2)
         frames = [seq_frame(flow, seq) for seq in range(4) for flow in flows]
         datapath.steer_batch(frames)
@@ -636,7 +636,7 @@ class TestShardRecovery:
         assert datapath.total_backlog() == 0
         assert datapath.parked_count() == len(frames)
         assert pools[0].in_flight == 0
-        actions["rollback"](params)
+        actions.rollback(params)
         # Unparked back onto the dead shard's own ring, order intact.
         assert datapath.parked_count() == 0
         assert datapath.total_backlog() == len(frames)
@@ -656,12 +656,12 @@ class TestShardRecovery:
         datapath = build(shards, pools, recorder)
         actions = datapath.recovery_action_set()
         params = {"shard": 0}
-        assert actions["quiesce"](params) is True
+        assert actions.quiesce(params) is True
         flows = flows_on_shard(0, shards, count=2)
         frames = [seq_frame(flow, seq) for seq in range(4) for flow in flows]
         datapath.steer_batch(frames)
-        actions["apply"](params)
-        actions["resume"](params)
+        actions.apply(params)
+        actions.resume(params)
         record = datapath.recoveries[-1]
         assert record["parked_flushed"] == len(frames)
         assert record["parked_refused"] == 0
@@ -682,15 +682,19 @@ class TestShardRecovery:
         recorder = Recorder()
         datapath = build(2, pools, recorder)
         actions = datapath.recovery_action_set()
-        assert actions["quiesce"]({"shard": "x"}) is False
-        assert actions["quiesce"]({"shard": -1}) is False
-        assert actions["quiesce"]({"shard": 9}) is False
-        assert actions["quiesce"]({"shard": 0, "to": 0}) is False  # self
-        assert actions["quiesce"]({"shard": 0, "to": 5}) is False  # range
-        assert actions["quiesce"]({"shard": 0}) is True
-        assert actions["quiesce"]({"shard": 0}) is False  # already recovering
-        assert actions["quiesce"]({"shard": 1}) is False  # successor busy
-        actions["rollback"]({"shard": 0})
+        assert actions.quiesce({"shard": "x"}) is False
+        assert actions.quiesce({"shard": -1}) is False
+        assert actions.quiesce({"shard": 9}) is False
+        assert actions.quiesce({"shard": 0, "to": 0}) is False  # self
+        assert actions.quiesce({"shard": 0, "to": 5}) is False  # range
+        # A bool is not an index, though True == 1 (remote input).
+        assert actions.quiesce({"shard": True}) is False
+        assert actions.quiesce({"shard": 0, "to": True}) is False
+        assert datapath.parked_count() == 0 and not datapath.round_open
+        assert actions.quiesce({"shard": 0}) is True
+        assert actions.quiesce({"shard": 0}) is False  # already recovering
+        assert actions.quiesce({"shard": 1}) is False  # successor busy
+        actions.rollback({"shard": 0})
         datapath.shutdown()
 
         # A dead successor and a successor-less datapath also refuse.
@@ -698,8 +702,8 @@ class TestShardRecovery:
         datapath = build(2, pools, recorder)
         datapath._workers[1].state = "done"
         actions = datapath.recovery_action_set()
-        assert actions["quiesce"]({"shard": 0, "to": 1}) is False
-        assert actions["quiesce"]({"shard": 0}) is False  # nobody left
+        assert actions.quiesce({"shard": 0, "to": 1}) is False
+        assert actions.quiesce({"shard": 0}) is False  # nobody left
         with pytest.raises(ShardingError, match="refused"):
             datapath.recover_shard(0)
         datapath.shutdown()
@@ -710,10 +714,10 @@ class TestShardRecovery:
         datapath = build(2, pools, recorder)
         actions = datapath.recovery_action_set()
         with pytest.raises(ShardingError, match="without quiesce"):
-            actions["apply"]({"shard": 0})
+            actions.apply({"shard": 0})
         # Resume/rollback without a pending recovery are safe no-ops.
-        actions["resume"]({"shard": 0})
-        actions["rollback"]({"shard": 0})
+        actions.resume({"shard": 0})
+        actions.rollback({"shard": 0})
         datapath.shutdown()
 
     def test_cascaded_failures_chain_redirects(self):
@@ -916,7 +920,7 @@ class TestElasticResize:
         pools = carve_shard_pools(256, 32, 2, exhaustion_policy="drop-newest")
         recorder = Recorder()
         datapath = build_elastic(2, pools, recorder, buckets=8)
-        quiesce = datapath.resize_action_set()["quiesce"]
+        quiesce = datapath.resize_action_set().quiesce
         assert not quiesce({"shards": 2})        # no-op target
         assert not quiesce({"shards": 0})
         assert not quiesce({"shards": True})     # bool is not a count
@@ -956,16 +960,16 @@ class TestElasticResize:
         datapath = build_elastic(2, pools, recorder, buckets=8)
         resize = datapath.resize_action_set()
         recovery = datapath.recovery_action_set()
-        assert resize["quiesce"]({"shards": 4})
-        assert not recovery["quiesce"]({"shard": 0})   # resize in flight
-        assert not resize["quiesce"]({"shards": 3})    # one round at a time
-        resize["rollback"]({"shards": 4})
-        resize["resume"]({"shards": 4})
-        assert recovery["quiesce"]({"shard": 0})
-        assert not resize["quiesce"]({"shards": 4})    # recovery in flight
-        recovery["rollback"]({"shard": 0})
-        assert resize["quiesce"]({"shards": 4})
-        resize["rollback"]({"shards": 4})
+        assert resize.quiesce({"shards": 4})
+        assert not recovery.quiesce({"shard": 0})   # resize in flight
+        assert not resize.quiesce({"shards": 3})    # one round at a time
+        resize.rollback({"shards": 4})
+        resize.resume({"shards": 4})
+        assert recovery.quiesce({"shard": 0})
+        assert not resize.quiesce({"shards": 4})    # recovery in flight
+        recovery.rollback({"shard": 0})
+        assert resize.quiesce({"shards": 4})
+        resize.rollback({"shards": 4})
         datapath.shutdown()
 
     def test_rollback_unparks_in_arrival_order(self):
@@ -973,14 +977,14 @@ class TestElasticResize:
         recorder = Recorder()
         datapath = build_elastic(2, pools, recorder, buckets=16)
         actions = datapath.resize_action_set()
-        assert actions["quiesce"]({"shards": 4})
+        assert actions.quiesce({"shards": 4})
         flows = [(f"10.5.{i}.2", 5000 + 9 * i) for i in range(6)]
         frames = [seq_frame(flow, seq) for seq in range(4) for flow in flows]
         assert datapath.steer_batch(frames) == len(frames)
         assert datapath.parked_count() == len(frames)
         assert datapath.total_backlog() == 0
-        actions["rollback"]({"shards": 4})
-        actions["resume"]({"shards": 4})
+        actions.rollback({"shards": 4})
+        actions.resume({"shards": 4})
         # Everything returned to its own ring, nothing grew.
         assert datapath.parked_count() == 0
         assert datapath.total_backlog() == len(frames)
@@ -1018,7 +1022,7 @@ class TestElasticResize:
         recorder = Recorder()
         datapath = build_elastic(2, pools, recorder, buckets=16)
         actions = datapath.resize_action_set()
-        assert actions["quiesce"]({"shards": 4})
+        assert actions.quiesce({"shards": 4})
         flows = [(f"10.3.{i}.4", 7000 + 5 * i) for i in range(4)]
         frames = [seq_frame(flow, seq) for seq in range(3) for flow in flows]
         datapath.steer_batch(frames)
@@ -1034,7 +1038,7 @@ class TestElasticResize:
         recorder = Recorder()
         datapath = build_elastic(2, pools, recorder, buckets=16)
         actions = datapath.recovery_action_set()
-        assert actions["quiesce"]({"shard": 0})
+        assert actions.quiesce({"shard": 0})
         flows = flows_on_home(datapath, 0, count=3)
         frames = [seq_frame(flow, seq) for seq in range(4) for flow in flows]
         datapath.steer_batch(frames)
@@ -1048,7 +1052,7 @@ class TestElasticResize:
         recorder = Recorder()
         datapath = build_elastic(2, pools, recorder, buckets=16)
         actions = datapath.resize_action_set()
-        assert actions["quiesce"]({"shards": 4})
+        assert actions.quiesce({"shards": 4})
         flows = [(f"10.2.{i}.6", 8000 + 3 * i) for i in range(4)]
         frames = [seq_frame(flow, seq) for seq in range(3) for flow in flows]
         datapath.steer_batch(frames)

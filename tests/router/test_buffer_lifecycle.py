@@ -334,12 +334,12 @@ def test_aborted_reconfig_round_resize_unparks_without_leaks():
 
     datapath, _released = build_elastic_datapath(2, 64)
     actions = datapath.resize_action_set()
-    assert actions["quiesce"]({"shards": 4})
+    assert actions.quiesce({"shards": 4})
     trace = mixed_elastic_trace(30)
     datapath.steer_batch(trace)
     assert datapath.parked_count() == len(trace)
-    actions["rollback"]({"shards": 4})
-    actions["resume"]({"shards": 4})
+    actions.rollback({"shards": 4})
+    actions.resume({"shards": 4})
     datapath.pump()
     assert datapath.total_backlog() == 0
     assert shard_pool_audit([shard.pool for shard in datapath.shards])["balanced"]

@@ -125,13 +125,13 @@ class TestCapsuleNode:
         fleet, recorder = make_fleet(1)
         capsule = fleet.capsules["cap0"]
         actions = capsule.upgrade_action_set()
-        assert actions["quiesce"]({"version": "v2"}) is True
+        assert actions.quiesce({"version": "v2"}) is True
         capsule._on_frame(frame_for(FLOWS[0], 0), "port")
         capsule._on_frame(frame_for(FLOWS[0], 1), "port")
         assert capsule.counters["parked"] == 2
         assert capsule.datapath.total_backlog() == 0  # parked, not steered
-        actions["apply"]({"version": "v2"})
-        actions["resume"]({})
+        actions.apply({"version": "v2"})
+        actions.resume({})
         assert capsule.version == "v2"
         assert capsule.counters["steered"] == 2
         capsule.pump()
@@ -142,20 +142,20 @@ class TestCapsuleNode:
         fleet, _ = make_fleet(1)
         capsule = fleet.capsules["cap0"]
         actions = capsule.upgrade_action_set()
-        assert actions["quiesce"]({}) is False
-        assert actions["quiesce"]({"version": ""}) is False
-        assert actions["quiesce"]({"version": "v2"}) is True
-        assert actions["quiesce"]({"version": "v3"}) is False
+        assert actions.quiesce({}) is False
+        assert actions.quiesce({"version": ""}) is False
+        assert actions.quiesce({"version": "v2"}) is True
+        assert actions.quiesce({"version": "v3"}) is False
         assert capsule._quiesced  # the refusal did not clobber the live round
 
     def test_rollback_restores_previous_version(self):
         fleet, _ = make_fleet(1)
         capsule = fleet.capsules["cap0"]
         actions = capsule.upgrade_action_set()
-        actions["quiesce"]({"version": "v2"})
-        actions["apply"]({"version": "v2"})
-        actions["rollback"]({})
-        actions["resume"]({})
+        actions.quiesce({"version": "v2"})
+        actions.apply({"version": "v2"})
+        actions.rollback({})
+        actions.resume({})
         assert capsule.version == "v1"
 
 

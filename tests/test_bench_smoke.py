@@ -2,13 +2,16 @@
 
 Runs ``benchmarks/run_all.py --smoke`` — the batching, zero-copy,
 buffer-lifecycle, sharding, elasticity, fault, compiled-hot-path and
-self-adaptation data-path benchmarks (C11–C19, R1) on a tiny trace with the paper-*ordering* (and the deterministic event-count
-claims: C13's copies-per-packet, C14's zero steady-state allocations and
-balanced acquire/release, C15's virtual-time multicore scaling, per-flow
-ordering and per-shard pool audit) assertions — so a dispatch-,
-byte-path-, buffer-lifecycle- or concurrency regression fails the
-ordinary test run, without the timing noise of the magnitude claims.  The full-scale trajectory stays in the
-benchmarks themselves (``run_all.py`` without flags →
+self-adaptation data-path benchmarks (C11–C19, R1) on a tiny trace.
+Smoke gates on the deterministic claims: C13's copies-per-packet, C14's
+zero steady-state allocations and balanced acquire/release, C15's
+virtual-time multicore scaling, C16's zero-drop live resizes, R1's
+fault scenario, per-flow ordering and per-shard pool audits — so a
+dispatch-, byte-path-, buffer-lifecycle- or concurrency regression
+fails the ordinary test run.  C16, C17, C19 and R1's control cells
+assert no wall-clock comparison under smoke; the remaining benches
+still check the paper ordering with slack.  The full-scale trajectory
+stays in the benchmarks themselves (``run_all.py`` without flags →
 ``BENCH_results.json``).
 
 Also covers the harness's own gate: every ``bench_*.py`` must carry the
