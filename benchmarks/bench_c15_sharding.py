@@ -33,11 +33,11 @@ they gate ``--smoke`` / tier-1 at full strength):
 
 The paper's C6 ordering (monolithic ≥ Click ≥ CF fused ≥ CF vtable) is
 asserted from wall-clock interleaved best-of-3 sweeps with the usual
-slack — at **every shard count** in the full run, and on the aggregate
-across the swept shard counts under ``--smoke`` (where each cell's
-timed region is too small to gate on alone); ratios compress because
+slack at **every shard count** in the full run; ratios compress because
 the shared runtime (steering, thread stepping) is a constant cost,
-exactly as C14's shared NIC loop compressed its ratios.
+exactly as C14's shared NIC loop compressed its ratios.  Under
+``--smoke`` the sweep runs one pass and asserts no wall-clock
+comparison — only the deterministic criteria above.
 """
 
 import gc
@@ -83,8 +83,9 @@ PACKETS = FLOWS * PER_FLOW
 ROUNDS = scaled(3, 2)
 #: Interleaved repeats, best wall-clock wins; the deterministic counters
 #: (forwarded, allocations, virtual time) are kept from round one and
-#: cross-checked on later rounds, C14-style.
-REPEATS = 3
+#: cross-checked on later rounds, C14-style.  Smoke times nothing, so
+#: one pass.
+REPEATS = scaled(3, 1)
 BUFFER_SIZE = 128
 #: One fixed buffer budget carved into per-shard slices, so every shard
 #: count runs on the same total memory.
@@ -409,27 +410,24 @@ def test_c15_sharding_sweep(benchmark):
         }
         assert vthr[4] >= 2.0 * vthr[1], (name, vthr)
 
-    # Paper ordering (C6/C14 slack style) — the shared runtime
-    # compresses the ratios, the direction must survive.  The
-    # fused/vtable pair gets the same 0.9 slack as the others: C11 and
-    # C12 already established that fusion adds only ~1–2% once batching
-    # amortises dispatch, and behind the shared sharded runtime that
-    # pair sits within wall-clock noise.  The full run asserts the
-    # ordering at *every* shard count; under smoke each (system, shards)
-    # cell's timed region is only ~tens of milliseconds — noise-bound on
-    # a loaded container — so the smoke gate asserts the same ordering
-    # on wall-clock aggregated across the swept shard counts instead
-    # (twice the timed region, still direction-sensitive).
-    scopes = [SHARD_SWEEP] if SMOKE else [(shards,) for shards in SHARD_SWEEP]
-    for scope in scopes:
+    # Paper ordering (C6/C14 slack style) at every shard count — the
+    # shared runtime compresses the ratios, the direction must survive.
+    # The fused/vtable pair gets the same 0.9 slack as the others: C11
+    # and C12 already established that fusion adds only ~1–2% once
+    # batching amortises dispatch, and behind the shared sharded runtime
+    # that pair sits within wall-clock noise.  Each smoke cell's timed
+    # region is only ~tens of milliseconds, noise-bound on a loaded
+    # host, so smoke gates only on the exact counts above.
+    if SMOKE:
+        return
+    for shards in SHARD_SWEEP:
         def pps(name):
-            forwarded = sum(results[(name, s)]["forwarded"] for s in scope)
-            elapsed = sum(results[(name, s)]["elapsed"] for s in scope)
-            return forwarded / elapsed
+            res = results[(name, shards)]
+            return res["forwarded"] / res["elapsed"]
 
-        assert pps("monolithic") >= pps("Click-style") * 0.9, scope
-        assert pps("Click-style") >= pps("CF fused") * 0.9, scope
-        assert pps("CF fused") >= pps("CF vtable") * 0.9, scope
+        assert pps("monolithic") >= pps("Click-style") * 0.9, shards
+        assert pps("Click-style") >= pps("CF fused") * 0.9, shards
+        assert pps("CF fused") >= pps("CF vtable") * 0.9, shards
 
 
 def test_c15_work_stealing_rebalance(benchmark):

@@ -32,7 +32,8 @@ Four experiments:
 - **paper ordering** on fault-free single-capsule cells: monolithic ≥
   Click-style ≥ CF fused ≥ CF vtable on the wall-clock aggregate, all
   four riding the identical fleet runtime (edge, links, CapsuleNode),
-  interleaved best-of with the usual smoke slack.
+  interleaved best-of.  Under ``--smoke`` the cells run one pass and
+  assert no wall-clock comparison, only their delivered counts.
 """
 
 import time
@@ -80,8 +81,9 @@ REPLICAS = 256
 #: assume roughly that balance.
 FLOWS = 128
 WAVES = scaled(16, 8)
-#: Interleaved best-of repeats for the wall-clock ordering cells.
-REPEATS = scaled(3, 5)
+#: Interleaved best-of repeats for the wall-clock ordering cells (smoke
+#: times nothing, so one pass).
+REPEATS = scaled(3, 1)
 #: Virtual-time scaling floors vs one capsule (deterministic — gates at
 #: full strength under smoke).
 MIN_SPEEDUP = {2: 1.6, 4: 2.5}
@@ -553,8 +555,9 @@ def test_c18_paper_ordering(benchmark):
             return outcome
 
         results = {}
-        for system in systems:
-            run_cell(system)  # warm-up: caches, imports, allocator
+        if not SMOKE:
+            for system in systems:
+                run_cell(system)  # warm-up: caches, imports, allocator — untimed
         for _ in range(REPEATS):
             for system in systems:
                 outcome = run_cell(system)
@@ -585,6 +588,10 @@ def test_c18_paper_ordering(benchmark):
     for system, res in results.items():
         assert res["fed"] == expected, (system, res["fed"])
         assert res["forwarded"] == expected, (system, res["forwarded"])
+    # Wall-clock comparisons are noise-dominated on the smoke trace;
+    # smoke gates only on the exact counts above.
+    if SMOKE:
+        return
 
     def pps(system):
         return results[system]["forwarded"] / results[system]["elapsed"]
@@ -592,8 +599,7 @@ def test_c18_paper_ordering(benchmark):
     # The shared fleet runtime (edge, link simulation, CapsuleNode) adds
     # an identical per-frame cost to all four systems, compressing the
     # gaps C6/C11 measured bare — the ordering survives, so the slack
-    # stays at C16's levels: 0.9 full, 0.75 under smoke's tiny trace.
-    slack = 0.75 if SMOKE else 0.9
-    assert pps("monolithic") >= pps("Click-style") * slack
-    assert pps("Click-style") >= pps("CF fused") * slack
-    assert pps("CF fused") >= pps("CF vtable") * slack
+    # stays at C16's level.
+    assert pps("monolithic") >= pps("Click-style") * 0.9
+    assert pps("Click-style") >= pps("CF fused") * 0.9
+    assert pps("CF fused") >= pps("CF vtable") * 0.9

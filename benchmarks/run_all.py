@@ -48,8 +48,8 @@ SMOKE_BENCHES = (
     "bench_c14_steady_state.py",
     # C15's headline claims are likewise deterministic: virtual-time
     # multicore scaling, per-flow ordering, and the per-shard
-    # acquired==released audit all gate at full strength; only the
-    # wall-clock paper-ordering rows keep the usual smoke slack.
+    # acquired==released audit all gate at full strength; its sweep
+    # runs one pass and asserts no wall-clock comparison under smoke.
     "bench_c15_sharding.py",
     # C16 asserts no wall-clock comparison under smoke and runs one
     # pass; its headline claims (zero drops across live resizes,
@@ -67,8 +67,9 @@ SMOKE_BENCHES = (
     "bench_c17_compiled.py",
     # C18's headline claims (virtual-time fleet scaling, node-kill flow
     # conservation and ≤1-home-move, byte-identical aborted rollout) are
-    # deterministic, so they gate at full strength under smoke; only the
-    # wall-clock paper-ordering cells keep the usual slack.
+    # deterministic, so they gate at full strength under smoke; its
+    # paper-ordering cells run one pass and assert no wall-clock
+    # comparison, only their delivered counts.
     "bench_c18_fleet.py",
     # C19's adversarial trace is entirely virtual-time driven, so the
     # adaptive-beats-worst-static margin, the typed veto count, and the

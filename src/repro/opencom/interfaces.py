@@ -22,6 +22,7 @@ Example
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
 
@@ -92,7 +93,8 @@ class Interface:
             # Re-declaration happens legitimately under test re-imports;
             # keep the newest declaration but only if it is structurally
             # identical, otherwise refuse the ambiguity.
-            if _method_names(existing) != _method_names(cls):
+            declared = {m.name for m in methods_of(cls)}
+            if {m.name for m in methods_of(existing)} != declared:
                 raise InterfaceError(
                     f"interface name {name!r} re-declared with a different "
                     "method set"
@@ -103,10 +105,6 @@ class Interface:
     def interface_name(cls) -> str:
         """Registry name of this interface type."""
         return cls.__name__
-
-
-def _method_names(itype: type[Interface]) -> tuple[str, ...]:
-    return tuple(sorted(m.name for m in methods_of(itype)))
 
 
 def is_interface_type(obj: object) -> bool:
@@ -123,13 +121,15 @@ def require_interface_type(obj: object) -> type[Interface]:
     return obj  # type: ignore[return-value]
 
 
-def methods_of(itype: type[Interface]) -> list[MethodSignature]:
+@functools.cache
+def methods_of(itype: type[Interface]) -> tuple[MethodSignature, ...]:
     """Introspect the declared methods of an interface type.
 
     Inherited methods from intermediate interface bases are included;
     anything defined on :class:`Interface` itself or dunder-named is not.
     Results are sorted by declaration order within each class, base classes
-    first, which gives stable "vtable slot" ordering.
+    first, which gives stable "vtable slot" ordering.  A type is
+    introspected once; later calls return the same immutable tuple.
     """
     require_interface_type(itype)
     signatures: list[MethodSignature] = []
@@ -155,7 +155,7 @@ def methods_of(itype: type[Interface]) -> list[MethodSignature]:
                     annotations=annotations,
                 )
             )
-    return signatures
+    return tuple(signatures)
 
 
 def lookup_interface(name: str) -> type[Interface]:

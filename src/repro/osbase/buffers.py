@@ -186,10 +186,22 @@ class BufferPool(Component):
                 f"unknown exhaustion policy {exhaustion_policy!r} "
                 f"(choose from {', '.join(EXHAUSTION_POLICIES)})"
             )
+        self._size(buffer_size, count, exhaustion_policy)
+        self._free.extend(Buffer(self, buffer_size) for _ in range(count))
+
+    @classmethod
+    def _unfilled(cls, buffer_size: int, count: int, policy: str) -> "BufferPool":
+        """A pool sized for *count* buffers that holds none yet (a
+        re-carve target): building it allocates nothing."""
+        pool = cls.__new__(cls)
+        pool._size(buffer_size, count, policy)
+        return pool
+
+    def _size(self, buffer_size: int, count: int, exhaustion_policy: str) -> None:
         self.buffer_size = buffer_size
         self.count = count
         self.exhaustion_policy = exhaustion_policy
-        self._free: list[Buffer] = [Buffer(self, buffer_size) for _ in range(count)]
+        self._free: list[Buffer] = []
         self.acquired_total = 0
         self.released_total = 0
         self.exhaustion_events = 0
@@ -289,6 +301,13 @@ def carve_shard_pools(
     acquired==released audit stays meaningful.  :func:`shard_pool_audit`
     checks the lifecycle invariant per slice and in aggregate.
     """
+    return [
+        BufferPool(buffer_size, n, exhaustion_policy=exhaustion_policy)
+        for n in _slice_counts(count, shards)
+    ]
+
+
+def _slice_counts(count: int, shards: int) -> list[int]:
     if shards <= 0:
         raise ResourceError(f"shards must be positive, got {shards}")
     if count < shards:
@@ -296,14 +315,7 @@ def carve_shard_pools(
             f"cannot carve {count} buffers into {shards} non-empty slices"
         )
     base, extra = divmod(count, shards)
-    return [
-        BufferPool(
-            buffer_size,
-            base + (1 if i < extra else 0),
-            exhaustion_policy=exhaustion_policy,
-        )
-        for i in range(shards)
-    ]
+    return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
 def shard_pool_audit(pools: list[BufferPool]) -> dict:
@@ -340,23 +352,34 @@ def shard_pool_audit(pools: list[BufferPool]) -> dict:
 
 
 def recarve_shard_pools(
-    pools: list[BufferPool],
-    shards: int,
-    *,
-    exhaustion_policy: str | None = None,
+    pools: list[BufferPool], shards: int
 ) -> tuple[list[BufferPool], dict]:
     """Re-carve the aggregate budget of *pools* into *shards* fresh
-    slices — the elastic-resize pool hand-off.
+    slices — the elastic-resize pool hand-off — by :func:`plan_recarve`
+    then :func:`rehome_buffers`: the budget's buffers *move* into the
+    new slices, nothing is allocated.  Returns ``(new_pools, audit)``.
+    """
+    new_pools, audit = plan_recarve(pools, shards)
+    rehome_buffers(pools, new_pools)
+    return new_pools, audit
+
+
+def plan_recarve(
+    pools: list[BufferPool], shards: int
+) -> tuple[list[BufferPool], dict]:
+    """The half of a re-carve that can fail: prove the hand-off, size
+    the new slices, move nothing.  Returns ``(new_pools, audit)``: fresh
+    pools (zeroed counters, the sources' buffer size, the first pool's
+    exhaustion policy) that stay empty until :func:`rehome_buffers`, and
+    the :func:`shard_pool_audit` snapshot proving the hand-off.
 
     The hand-off must be *exact*: every incoming slice balanced
     (acquired == released and nothing in flight), because a buffer still
     held by the datapath belongs to a pool that is about to be retired
-    and could never be returned.  An unbalanced slice raises
+    and could never be returned.  Buffers only move between slices of
+    one size.  An unbalanced slice or mixed buffer sizes raise
     ResourceError — the resize's apply step turns that into an abort and
-    the round rolls back.  Returns ``(new_pools, audit)`` where *audit*
-    is the :func:`shard_pool_audit` snapshot proving the hand-off; the
-    new slices inherit the widest buffer size and (by default) the first
-    pool's exhaustion policy.
+    the round rolls back.
     """
     if not pools:
         raise ResourceError("recarve needs at least one source pool")
@@ -369,15 +392,30 @@ def recarve_shard_pools(
             f"released={audit['released_total']} "
             f"in_flight={audit['in_flight']}"
         )
-    total = sum(pool.count for pool in pools)
-    buffer_size = max(pool.buffer_size for pool in pools)
-    policy = (
-        pools[0].exhaustion_policy if exhaustion_policy is None else exhaustion_policy
-    )
-    new_pools = carve_shard_pools(
-        buffer_size, total, shards, exhaustion_policy=policy
-    )
-    return new_pools, audit
+    sizes = sorted({pool.buffer_size for pool in pools})
+    if len(sizes) > 1:
+        raise ResourceError(
+            f"cannot re-carve slices of different buffer sizes {sizes}: "
+            "buffers only move between slices of one size"
+        )
+    policy = pools[0].exhaustion_policy
+    counts = _slice_counts(sum(pool.count for pool in pools), shards)
+    return [BufferPool._unfilled(sizes[0], n, policy) for n in counts], audit
+
+
+def rehome_buffers(pools: list[BufferPool], new_pools: list[BufferPool]) -> None:
+    """The half of a re-carve that cannot fail: move the balanced
+    *pools*' free buffers into the empty slices :func:`plan_recarve`
+    sized, by re-pointing ``buffer.pool``.  The sources end empty and
+    balanced (count 0, nothing in flight): a retired slice still audits."""
+    free = [buffer for pool in pools for buffer in pool._free]
+    for pool in pools:
+        pool._free = []
+        pool.count = pool.free_low_watermark = 0
+    for pool in new_pools:
+        pool._free, free = free[: pool.count], free[pool.count :]
+        for buffer in pool._free:
+            buffer.pool = pool
 
 
 class BufferManagementCF(ComponentFramework):

@@ -83,9 +83,10 @@ runs it locally):
 2. **apply** drains *every* ring through its own engine
    (drain-before-rehash for every flow), proves the exact pool hand-off
    (acquired == released and nothing in flight on every slice — see
-   :func:`~repro.osbase.buffers.recarve_shard_pools`), re-carves the
-   aggregate budget into the new slice set, builds/retires workers, and
-   only then swaps the table and flushes the parked frames through it;
+   :func:`~repro.osbase.buffers.recarve_shard_pools`), sizes the new
+   slice set, builds the grown workers, and only past that commit point
+   moves the budget's buffers into the new slices, retires workers,
+   swaps the table and flushes the parked frames through it;
 3. **resume** records the resize (with the hand-off audit);
 4. **rollback** (an aborted round, or apply failing before the commit
    point — e.g. a buffer still held somewhere) unparks everything back
@@ -111,7 +112,7 @@ from typing import Any
 
 from repro.opencom.errors import OpenComError, ResourceError
 from repro.opencom.metamodel import ActionSet
-from repro.osbase.buffers import recarve_shard_pools
+from repro.osbase.buffers import plan_recarve, rehome_buffers
 
 
 class ShardingError(OpenComError):
@@ -436,6 +437,17 @@ class Shard:
         self.counters["processed_packets"] += len(batch)
         self.counters["processed_batches"] += 1
 
+    def drain(self, batch: int) -> int:
+        """Run the whole backlog through this shard's engine inline,
+        *batch* frames at a time; returns the frames drained.  Callers
+        hold the fleet (an action set runs, or the fleet is stopping):
+        nothing steps the workers meanwhile, so the hand-off is atomic."""
+        drained = 0
+        while frames := self.take_batch(batch):
+            self.process(frames)
+            drained += len(frames)
+        return drained
+
     def stats(self) -> dict:
         """Counter snapshot plus backlog depth and pool balance."""
         snapshot = dict(self.counters)
@@ -715,16 +727,8 @@ class ShardedDatapath:
         if pending is None:
             raise ShardingError(f"recovery apply without quiesce (shard {dead})")
         shard = self.shards[dead]
-        drained = 0
-        while True:
-            batch = shard.take_batch(self.batch)
-            if not batch:
-                break
-            # Inline hand-off: nothing steps the thread manager while an
-            # action set runs, so this is atomic wrt the workers — the
-            # same ownership convention as batch stealing.
-            shard.process(batch)
-            drained += len(batch)
+        # Inline hand-off — the same ownership convention as stealing.
+        drained = shard.drain(self.batch)
         successor = pending["to"]
         self._redirect[dead] = successor
         parked = self._parked.pop(dead, [])
@@ -887,25 +891,24 @@ class ShardedDatapath:
             moved_set.add(bucket)
         return table, moved
 
-    def _decompile_all(self) -> None:
-        """Tear down every shard's compiled hot path (shards without the
-        hook — plain engines, test doubles — are untouched)."""
+    def decompile_all(self) -> None:
+        """De-specialise the whole fleet: every shard's compiled chain is
+        torn down (shards without the hook — plain engines, test doubles
+        — are untouched) so a reconfiguration that mutates vtables runs
+        interpreted.  Every round's quiesce calls this, and the
+        adaptation stratum calls it before any hot swap it actuates —
+        its rule engine refuses the swap otherwise."""
         for shard in self.shards:
             if shard.decompile is not None:
                 shard.decompile()
 
-    def decompile_all(self) -> None:
-        """De-specialise the whole fleet (public counterpart of the
-        round-internal hook): every shard's compiled chain is torn down
-        so a reconfiguration that mutates vtables runs interpreted.  The
-        adaptation stratum calls this before any hot swap it actuates —
-        its rule engine refuses the swap otherwise."""
-        self._decompile_all()
-
     def recompile_all(self) -> None:
-        """Rebuild every shard's compiled hot path (idempotent; shards
-        without the hook are untouched)."""
-        self._recompile_all()
+        """Rebuild every shard's compiled hot path after a round settles
+        (idempotent; grown shards arrive compiled from the factory,
+        shards without the hook are untouched)."""
+        for shard in self.shards:
+            if shard.recompile is not None:
+                shard.recompile()
 
     def compiled_shards(self) -> list[int]:
         """Indices of shards whose engine currently dispatches through a
@@ -916,14 +919,6 @@ class ShardedDatapath:
             for index, shard in enumerate(self.shards)
             if getattr(shard.engine, "compiled_active", False)
         ]
-
-    def _recompile_all(self) -> None:
-        """Rebuild every shard's compiled hot path after a round settles
-        (grown shards arrive compiled from the factory; recompiling is
-        idempotent)."""
-        for shard in self.shards:
-            if shard.recompile is not None:
-                shard.recompile()
 
     def _resize_quiesce(self, params: dict) -> bool:
         """Park every bucket's arrivals and plan the new table; False
@@ -964,7 +959,7 @@ class ShardedDatapath:
         # The round is about to touch every shard's region (drain, pool
         # re-bind, table swap): de-specialise the fleet so the whole
         # window runs interpreted; commit and rollback both rebuild.
-        self._decompile_all()
+        self.decompile_all()
         return True
 
     def _resize_apply(self, params: dict) -> None:
@@ -986,24 +981,15 @@ class ShardedDatapath:
         # 1. Drain every ring through its own engine: in-flight frames
         #    egress from their pre-resize home, so the table swap can
         #    never reorder a flow (and the pool books can balance).
-        drained = [0] * old_n
-        for index, shard in enumerate(self.shards):
-            while True:
-                batch = shard.take_batch(self.batch)
-                if not batch:
-                    break
-                # Inline hand-off: nothing steps the thread manager while
-                # an action set runs, so this is atomic wrt the workers.
-                shard.process(batch)
-                drained[index] += len(batch)
-        # 2. The exact hand-off: re-carving the aggregate budget is only
-        #    sound when no slice has a buffer in flight anywhere.
+        drained = [shard.drain(self.batch) for shard in self.shards]
+        # 2. The exact hand-off: re-carving is only sound when no slice
+        #    has a buffer in flight.  The new slices start out empty.
         pools = [shard.pool for shard in self.shards]
         pooled = all(pool is not None for pool in pools)
         handoff = None
         if pooled:
             try:
-                new_pools, handoff = recarve_shard_pools(pools, n)
+                new_pools, handoff = plan_recarve(pools, n)
             except ResourceError as exc:
                 raise ShardingError(f"resize to {n} shards aborted: {exc}") from exc
         else:
@@ -1016,6 +1002,9 @@ class ShardedDatapath:
         ]
         # ---- commit point: nothing below raises ----
         pending["phase"] = "committed"
+        if pooled:
+            # The budget moves into the new slices; nothing is allocated.
+            rehome_buffers(pools, new_pools)
         if n < old_n:
             for index in range(n, old_n):
                 self._retire_flags[index][0] = True
@@ -1089,7 +1078,7 @@ class ShardedDatapath:
         # 5. The fleet has its final shape: rebuild the compiled hot
         #    paths (retired shards are gone, grown shards came compiled
         #    from the factory, survivors re-specialise here).
-        self._recompile_all()
+        self.recompile_all()
 
     def _resize_resume(self, params: dict) -> None:
         """Commit-side resume: record the resize.  A no-op on the abort
@@ -1107,7 +1096,7 @@ class ShardedDatapath:
         # paths down; apply never ran to rebuild them).
         self._unpark_all()
         if record is None:
-            self._recompile_all()
+            self.recompile_all()
 
     def _resize_rollback(self, params: dict) -> None:
         """Abort-side undo: unpark everything back onto the original
@@ -1124,7 +1113,7 @@ class ShardedDatapath:
         self._unpark_all()
         # The fleet keeps its old shape: re-specialise it (quiesce tore
         # the compiled paths down for the aborted round).
-        self._recompile_all()
+        self.recompile_all()
 
     def _unpark_all(self) -> None:
         """Return every parked frame to its own shard's ring, in order."""
@@ -1378,11 +1367,7 @@ class ShardedDatapath:
             self._abort_open_rounds()
             if drain:
                 for shard in self.shards:
-                    while True:
-                        batch = shard.take_batch(self.batch)
-                        if not batch:
-                            break
-                        shard.process(batch)
+                    shard.drain(self.batch)
         self._stopping = True
         for _ in range(2 * len(self._threads) + 2):
             if all(thread.done for thread in self._threads):

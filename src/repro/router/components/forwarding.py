@@ -235,6 +235,10 @@ class Stride8LpmTable:
         """Number of live prefixes in one family's table."""
         return len(self._prefixes[version])
 
+    def values(self) -> set[Any]:
+        """Every distinct stored value (next hop), both families."""
+        return {value for store in self._prefixes.values() for value in store.values()}
+
 
 class Forwarder(PushComponent):
     """Next-hop resolution and per-hop emission.

@@ -18,7 +18,7 @@ from repro.opencom.capsule import Capsule
 from repro.opencom.component import Component
 from repro.osbase.clock import VirtualClock
 from repro.router.components.classifier import Classifier
-from repro.router.components.forwarding import Forwarder
+from repro.router.components.forwarding import Forwarder, Stride8LpmTable
 from repro.router.components.headerproc import (
     IPv4HeaderProcessor,
     IPv6HeaderProcessor,
@@ -338,7 +338,7 @@ def build_figure3_composite(
 def build_forwarding_pipeline(
     capsule: Capsule,
     *,
-    routes: dict[str, str],
+    routes: dict[str, str] | Stride8LpmTable,
     next_hop_sinks: dict[str, Component] | None = None,
     tx_nics: dict[str, Any] | None = None,
     clock: VirtualClock | None = None,
@@ -349,10 +349,13 @@ def build_forwarding_pipeline(
     """A flat (non-composite) IPv4 forwarding path used by the data-path
     benchmarks: recogniser → v4 processor → forwarder → per-hop sinks.
 
-    ``next_hop_sinks`` maps next-hop names to sink components (created as
-    :class:`CollectorSink` when omitted).  ``tx_nics`` maps next-hop
-    names to stratum-1 :class:`~repro.osbase.nic.Nic` instances instead:
-    those hops terminate in a
+    ``routes`` is a prefix → next-hop mapping, or a
+    :class:`Stride8LpmTable` the forwarder adopts by reference (a FIB
+    several pipelines share).  ``next_hop_sinks`` maps next-hop names to
+    sink components (created as :class:`CollectorSink` when omitted).
+    ``tx_nics`` maps next-hop names to stratum-1
+    :class:`~repro.osbase.nic.Nic` instances instead: those hops
+    terminate in a
     :class:`~repro.router.components.nicadapters.TransmitAdapter`
     (registered in ``pipeline.tx_adapters``), so
     :meth:`RouterPipeline.flush_tx` closes the pooled buffer lifecycle
@@ -372,9 +375,12 @@ def build_forwarding_pipeline(
     )
     v6 = capsule.instantiate(IPv6HeaderProcessor, "ipv6")
     forwarder = capsule.instantiate(Forwarder, "forwarder")
-    forwarder.load_routes(routes)
+    if isinstance(routes, Stride8LpmTable):
+        forwarder.table = routes
+    else:
+        forwarder.load_routes(routes)
 
-    hops = sorted(set(routes.values()))
+    hops = sorted(forwarder.table.values())
     sinks: dict[str, Component] = {}
     tx_adapters: dict[str, Component] = {}
     for hop in hops:
@@ -457,7 +463,11 @@ def build_sharded_forwarding_datapath(
     isolation mirrors the paper's capsule boundaries), an RX
     :class:`~repro.osbase.nic.Nic` bound to that shard's private pool
     slice, a :func:`build_forwarding_pipeline` with per-hop TX NICs, and
-    a flush that drains those TX rings back to the shard's pool.
+    a flush that drains those TX rings back to the shard's pool.  The
+    FIB is shared: *routes* is loaded once into one
+    :class:`Stride8LpmTable` that every shard's ``Forwarder`` references
+    (grown shards too), so it is box-wide — a route changed through any
+    shard's forwarder changes every shard's next lookup.
     *pools* supplies the slices (length must equal *shards* — typically
     :func:`~repro.osbase.buffers.carve_shard_pools`); when omitted, a
     fresh budget of *pool_buffers* × *buffer_size*-byte buffers is
@@ -504,12 +514,14 @@ def build_sharded_forwarding_datapath(
     rx_ring = rx_ring_size if rx_ring_size is not None else 8 * batch
     tx_ring = tx_ring_size if tx_ring_size is not None else 4 * batch
     hops = sorted(set(routes.values()))
+    fib = Stride8LpmTable()
+    fib.load(routes)
 
     def make_shard(index: int, pool: Any) -> Shard:
         capsule = Capsule(f"{name}:shard{index}")
         pipeline = build_forwarding_pipeline(
             capsule,
-            routes=routes,
+            routes=fib,
             tx_nics={hop: Nic(tx_ring_size=tx_ring) for hop in hops},
             validate_checksums=validate_checksums,
         )

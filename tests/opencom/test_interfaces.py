@@ -78,6 +78,18 @@ class TestMethodIntrospection:
 
         assert [m.name for m in methods_of(IWithPrivate)] == ["visible"]
 
+    def test_each_type_is_introspected_once(self, monkeypatch):
+        import inspect
+
+        class IOnce(Interface):
+            def op(self, x): ...
+
+        first = methods_of(IOnce)
+        assert isinstance(first, tuple)
+        # Later calls are served without re-reading any signature.
+        monkeypatch.setattr(inspect, "signature", None)
+        assert methods_of(IOnce) is first
+
 
 class TestConformance:
     def test_conforming_impl_passes(self):

@@ -11,6 +11,7 @@ from repro.netsim import (
     Packet,
     flow_hash_fields,
     flow_hash_of,
+    ipv4,
     make_tcp_v4,
     make_udp_v4,
     make_udp_v6,
@@ -1010,6 +1011,60 @@ class TestElasticResize:
         datapath.shards[0].pool.release(held)
         record = datapath.resize(4)
         assert record["pool_handoff"]["balanced"]
+        datapath.shutdown()
+
+    def test_failing_factory_leaves_every_slice_intact(self):
+        # The commit-point rule: buffers move into the new slices only
+        # after the factory has built every grown shard, so a factory
+        # failure rolls back onto untouched slices.
+        pools = carve_shard_pools(256, 32, 2, exhaustion_policy="drop-newest")
+        recorder = Recorder()
+        datapath = build_elastic(2, pools, recorder, buckets=8)
+        flows = [(f"10.5.{i}.4", 5200 + 7 * i) for i in range(6)]
+        datapath.steer_batch([seq_frame(flow, seq) for seq in range(3) for flow in flows])
+        datapath.pump()
+        free_lists = [list(pool._free) for pool in pools]
+        grow = datapath.shard_factory
+
+        def factory(index, pool):
+            if index == 3:
+                raise RuntimeError("no capsule for shard 3")
+            return grow(index, pool)
+
+        datapath.shard_factory = factory
+        with pytest.raises(RuntimeError, match="no capsule"):
+            datapath.resize(4)
+        assert len(datapath.shards) == 2
+        for shard, pool, free in zip(datapath.shards, pools, free_lists):
+            assert shard.pool is pool and shard.nic.pool is pool
+            assert pool.count == 16 and pool._free == free
+            assert all(buffer.pool is pool for buffer in pool._free)
+        assert shard_pool_audit(pools)["balanced"]
+        datapath.steer_batch([seq_frame(flow, seq) for seq in range(3, 6) for flow in flows])
+        datapath.pump()
+        for seqs in per_flow_seqs(recorder).values():
+            assert seqs == list(range(6))
+        assert shard_pool_audit(pools)["balanced"]
+        datapath.shutdown()
+
+    def test_shards_share_one_fib(self):
+        pools = carve_shard_pools(256, 64, 2, exhaustion_policy="drop-newest")
+        recorder = Recorder()
+        datapath = build_elastic(2, pools, recorder, buckets=8)
+        datapath.resize(4)
+        forwarders = [s.engine.stages["forwarder"] for s in datapath.shards]
+        assert len({id(f.table) for f in forwarders}) == 1
+        # The FIB is box-wide: a route added through shard 0 is what
+        # shard 3 forwards by.
+        dst = ipv4("10.9.9.9")
+        assert forwarders[3].table.lookup_cached(dst) == "east"
+        forwarders[0].add_route("10.9.0.0/16", "west")
+        assert forwarders[3].table.lookup_cached(dst) == "west"
+        flows = [(f"10.5.{i}.5", 5300 + 7 * i) for i in range(8)]
+        datapath.steer_batch([seq_frame(flow, 0) for flow in flows])
+        datapath.pump()
+        assert sum(f.counters["hop:west"] for f in forwarders) == len(flows)
+        assert sum(f.counters["hop:east"] for f in forwarders) == 0
         datapath.shutdown()
 
     @pytest.mark.allow_pool_leak

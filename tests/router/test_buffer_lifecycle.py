@@ -223,8 +223,55 @@ class TestRecarveHandoff:
         with pytest.raises(ResourceError, match="at least one"):
             recarve_shard_pools([], 2)
 
+    def test_recarve_moves_buffers_and_empties_the_sources(self):
+        from repro.osbase import (
+            DATAPATH_LEDGER,
+            carve_shard_pools,
+            recarve_shard_pools,
+            shard_pool_audit,
+        )
 
-def build_elastic_datapath(shards, pool_total, *, buckets=16):
+        pools = carve_shard_pools(128, 10, 3)
+        budget = {id(b) for pool in pools for b in pool._free}
+        before = DATAPATH_LEDGER.snapshot()
+        new_pools, _ = recarve_shard_pools(pools, 4)
+        assert DATAPATH_LEDGER.delta(before)["allocations"] == 0
+        assert {id(b) for pool in new_pools for b in pool._free} == budget
+        assert all(b.pool is pool for pool in new_pools for b in pool._free)
+        assert all(
+            p.acquired_total == p.released_total == 0 and p.free_low_watermark == p.count
+            for p in new_pools
+        )
+        # The retired sources are empty and still audit balanced.
+        assert [p.count for p in pools] == [0, 0, 0]
+        assert shard_pool_audit(pools)["balanced"]
+
+    def test_recarve_refuses_mixed_buffer_sizes(self):
+        """Buffers only move between slices of one size: a mixed-size
+        slice set is refused (it used to be silently re-allocated at the
+        widest size, growing the byte budget), and a resize over it
+        aborts with the original slices intact."""
+        from repro.opencom.errors import ResourceError
+        from repro.osbase import ShardingError, recarve_shard_pools
+
+        pools = [BufferPool(128, 4), BufferPool(256, 4)]
+        with pytest.raises(ResourceError, match=r"sizes \[128, 256\]"):
+            recarve_shard_pools(pools, 2)
+        assert all(len(p._free) == 4 and p.count == 4 for p in pools)
+
+        datapath, _released = build_elastic_datapath(
+            2, 64, pools=[BufferPool(128, 32), BufferPool(256, 32)]
+        )
+        original = [shard.pool for shard in datapath.shards]
+        with pytest.raises(ShardingError, match=r"aborted.*\[128, 256\]"):
+            datapath.resize(3)
+        assert [shard.pool for shard in datapath.shards] == original
+        assert all(len(p._free) == p.count == 32 for p in original)
+        assert not datapath.stats()["resize_pending"]
+        datapath.shutdown()
+
+
+def build_elastic_datapath(shards, pool_total, *, buckets=16, pools=None):
     from repro.osbase import RoundRobinScheduler, ThreadManagerCF, VirtualClock
     from repro.router import build_sharded_forwarding_datapath
 
@@ -245,6 +292,7 @@ def build_elastic_datapath(shards, pool_total, *, buckets=16):
         rx_ring_size=512,
         buffer_size=128,
         pool_buffers=pool_total,
+        pools=pools,
         tx_handler=tx_handler,
         buckets=buckets,
     )
@@ -295,6 +343,35 @@ def test_books_balance_across_every_recarve():
     # Each re-carve saw strictly more lifecycle traffic than the last.
     acquired = [audit["acquired_total"] for audit in audits]
     assert acquired[0] > 0
+    datapath.shutdown()
+
+
+def test_resizes_move_one_buffer_budget_and_allocate_nothing():
+    """A re-carve moves buffers instead of allocating them: the same
+    Buffer objects serve every slice set across a grow and a shrink, no
+    resize records an allocation (not even while draining a live
+    backlog), and every retired slice ends empty and balanced."""
+    from repro.osbase import DATAPATH_LEDGER, shard_pool_audit
+
+    datapath, _released = build_elastic_datapath(2, 64)
+
+    def budget():
+        return {id(b) for shard in datapath.shards for b in shard.pool._free}
+
+    datapath.steer_batch(mixed_elastic_trace(60))
+    datapath.pump()
+    original = budget()
+    assert len(original) == 64
+    for target in (4, 2):
+        retiring = [shard.pool for shard in datapath.shards]
+        datapath.steer_batch(mixed_elastic_trace(30))
+        assert datapath.total_backlog() > 0
+        before = DATAPATH_LEDGER.snapshot()
+        datapath.resize(target)
+        assert DATAPATH_LEDGER.delta(before)["allocations"] == 0
+        assert budget() == original
+        assert all(pool.count == 0 for pool in retiring)
+        assert shard_pool_audit(retiring)["balanced"]
     datapath.shutdown()
 
 

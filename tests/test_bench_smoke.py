@@ -8,9 +8,10 @@ zero steady-state allocations and balanced acquire/release, C15's
 virtual-time multicore scaling, C16's zero-drop live resizes, R1's
 fault scenario, per-flow ordering and per-shard pool audits — so a
 dispatch-, byte-path-, buffer-lifecycle- or concurrency regression
-fails the ordinary test run.  C16, C17, C19 and R1's control cells
-assert no wall-clock comparison under smoke; the remaining benches
-still check the paper ordering with slack.  The full-scale trajectory
+fails the ordinary test run.  C15, C16, C17, C18's ordering cells and
+R1's control cells assert no wall-clock comparison under smoke; the
+remaining benches (C11–C14, C19's control cells) still check the paper
+ordering with slack.  The full-scale trajectory
 stays in the benchmarks themselves (``run_all.py`` without flags →
 ``BENCH_results.json``).
 
