@@ -164,23 +164,24 @@ def test_c11_batching_throughput(benchmark):
     for name, (_, delivered) in results.items():
         assert delivered == PACKETS, name
 
-    # Magnitude claims are noise-dominated on the smoke trace; smoke mode
-    # asserts the paper ordering only (below).
-    if not SMOKE:
-        # Headline: batching + fusion buys >= 2x over the seed per-packet
-        # vtable path on the same trace.
-        headline = throughput[f"CF fused, batch-{HEADLINE_BATCH}"]
-        assert headline >= 2.0 * throughput["CF vtable, per-packet"]
+    # Every claim below compares wall-clock timings: smoke mode times
+    # nothing, so it gates on the delivered counts (above) only.
+    if SMOKE:
+        return
+    # Headline: batching + fusion buys >= 2x over the seed per-packet
+    # vtable path on the same trace.
+    headline = throughput[f"CF fused, batch-{HEADLINE_BATCH}"]
+    assert headline >= 2.0 * throughput["CF vtable, per-packet"]
 
-        # Batching helps even without fusion, and bigger batches don't
-        # hurt (generous slack: only a gross regression fails).
-        assert throughput[f"CF vtable, batch-{HEADLINE_BATCH}"] >= throughput[
-            "CF vtable, per-packet"
-        ]
-        assert (
-            throughput["CF fused, batch-128"]
-            >= throughput["CF fused, batch-8"] * 0.7
-        )
+    # Batching helps even without fusion, and bigger batches don't
+    # hurt (generous slack: only a gross regression fails).
+    assert throughput[f"CF vtable, batch-{HEADLINE_BATCH}"] >= throughput[
+        "CF vtable, per-packet"
+    ]
+    assert (
+        throughput["CF fused, batch-128"]
+        >= throughput["CF fused, batch-8"] * 0.7
+    )
 
     # Paper ordering preserved under batching (same slack style as C6).
     mono = throughput[f"monolithic, batch-{HEADLINE_BATCH}"]

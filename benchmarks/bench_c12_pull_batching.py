@@ -19,8 +19,8 @@ Shape asserted:
 - the paper's ordering survives pull batching:
   monolithic >= Click-style >= Router CF (fused) >= Router CF (vtable).
 
-Smoke mode (``REPRO_BENCH_SMOKE=1``) shrinks the trace and asserts the
-ordering only.
+Smoke mode (``REPRO_BENCH_SMOKE=1``) shrinks the trace and compares no
+timings: it checks that every system delivered the whole backlog.
 """
 
 import gc
@@ -201,6 +201,10 @@ def test_c12_pull_batching_throughput(benchmark):
     for name, (_, delivered) in results.items():
         assert delivered == PACKETS, name
 
+    # Every claim below compares wall-clock timings: smoke mode times
+    # nothing, so it gates on the delivered counts (above) only.
+    if SMOKE:
+        return
     mono = throughput[f"monolithic, drain-{HEADLINE_BATCH}"]
     click = throughput[f"Click-style, drain-{HEADLINE_BATCH}"]
     fused = throughput[f"CF fused, pull_batch-{HEADLINE_BATCH}"]
@@ -213,15 +217,14 @@ def test_c12_pull_batching_throughput(benchmark):
     # once batching amortises dispatch, inside back-to-back wall-clock noise.
     assert fused >= vtable * 0.9
 
-    if not SMOKE:
-        # Headline: the batched drain beats the seed scalar pull loop.
-        assert vtable >= 1.3 * throughput["CF vtable, scalar pull"]
-        assert fused >= 1.3 * throughput["CF fused, scalar pull"]
-        # Bigger service rounds don't hurt (gross-regression slack).
-        assert (
-            throughput["CF fused, pull_batch-128"]
-            >= throughput["CF fused, pull_batch-8"] * 0.7
-        )
+    # Headline: the batched drain beats the seed scalar pull loop.
+    assert vtable >= 1.3 * throughput["CF vtable, scalar pull"]
+    assert fused >= 1.3 * throughput["CF fused, scalar pull"]
+    # Bigger service rounds don't hurt (gross-regression slack).
+    assert (
+        throughput["CF fused, pull_batch-128"]
+        >= throughput["CF fused, pull_batch-8"] * 0.7
+    )
 
 
 def test_c12_fused_drain_round(benchmark):

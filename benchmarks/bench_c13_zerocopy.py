@@ -18,12 +18,11 @@ Measured on the same 1k-route IPv4 trace as C6, all systems at batch-32:
   than the copy path (headline criterion);
 - **per-packet time** — wire vs copy path on the component router, and
   the paper's C6 ordering across all four systems *on the wire path*
-  (monolithic >= Click-style >= CF fused >= CF vtable), asserted in both
-  modes: all four share the polymorphic byte path, so the comparison
-  stays structural.
+  (monolithic >= Click-style >= CF fused >= CF vtable): all four share
+  the polymorphic byte path, so the comparison stays structural.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``) shrinks the trace and keeps the
-ordering + copies/packet assertions, skipping the timing-magnitude claim.
+copies/packet and delivered-count assertions; it compares no timings.
 """
 
 import gc
@@ -208,6 +207,10 @@ def test_c13_zerocopy_byte_work(benchmark):
     # to refresh after the TTL decrement.
     assert copies_per_packet("CF fused, copy path") >= 2
 
+    # Every claim below compares wall-clock timings: smoke mode times
+    # nothing, so it gates on the counts above only.
+    if SMOKE:
+        return
     # Paper ordering on the wire path (same slack style as C6/C12).
     mono = results["monolithic, wire path"][0]
     click = results["Click-style, wire path"][0]
@@ -219,13 +222,12 @@ def test_c13_zerocopy_byte_work(benchmark):
     # once batching amortises dispatch, inside back-to-back wall-clock noise.
     assert fused >= vtable * 0.9
 
-    if not SMOKE:
-        # Dropping the per-hop byte work must not cost time: the wire path
-        # is at least as fast as the copy path (gross-regression slack).
-        assert (
-            results["CF fused, wire path"][0]
-            >= results["CF fused, copy path"][0] * 0.9
-        )
+    # Dropping the per-hop byte work must not cost time: the wire path
+    # is at least as fast as the copy path (gross-regression slack).
+    assert (
+        results["CF fused, wire path"][0]
+        >= results["CF fused, copy path"][0] * 0.9
+    )
 
 
 def test_c13_fused_wire_batch(benchmark):

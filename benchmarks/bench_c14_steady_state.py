@@ -36,7 +36,8 @@ too, for every system):
   count returns exactly to its pre-trace mark (zero occupancy drift).
 
 The paper's C6 ordering (monolithic ≥ Click ≥ CF fused ≥ CF vtable) is
-asserted on the same loop, with the usual slack.
+asserted on the same loop, with the usual slack — on the full run only:
+smoke mode compares no timings.
 """
 
 import gc
@@ -45,7 +46,7 @@ import time
 import pytest
 
 from benchmarks.bench_c6_datapath import PACKETS, routes_with_default
-from benchmarks.conftest import scaled, once, report
+from benchmarks.conftest import SMOKE, once, report, scaled
 from repro.baselines import ClickRouter, MonolithicRouter, standard_click_config
 from repro.netsim import batched, udp_route_trace
 from repro.opencom import Capsule, fuse_pipeline
@@ -267,11 +268,14 @@ def test_c14_steady_state_lifecycle(benchmark):
         assert res["in_flight"] == 0, (name, res)
         assert res["free_after"] == res["free_before"], (name, res)
 
-    # Paper ordering on the same loop (C6/C13 slack style).  The
-    # fused/vtable pair gets the same 0.9 slack as the others: its real
-    # gap here is ~2% (fusion adds little once batching amortises
-    # dispatch — the C11/C12 finding), which sits inside wall-clock
-    # noise when the smoke suite runs back to back.
+    # Paper ordering on the same loop (C6/C13 slack style), on the full
+    # run only: smoke mode compares no timings.  The fused/vtable pair
+    # gets the same 0.9 slack as the others: its real gap here is ~2%
+    # (fusion adds little once batching amortises dispatch — the C11/C12
+    # finding), which sits inside wall-clock noise.
+    if SMOKE:
+        return
+
     def pps(name):
         return results[name]["forwarded"] / results[name]["elapsed"]
 

@@ -34,7 +34,9 @@ Scoring is delivered frames over identical virtual time (every
 configuration steps the same tick schedule), so the ordering is
 deterministic — no wall-clock noise.  A second cell re-checks the paper
 ordering (monolithic >= Click >= CF fused >= CF vtable) on a fault-free
-steady trace under the C16 wall-clock idiom.
+steady trace under the C16 wall-clock idiom; smoke mode
+(``REPRO_BENCH_SMOKE=1``) compares no timings there, only the cells'
+delivered counts and pool audits.
 """
 
 import time
@@ -682,9 +684,11 @@ def test_c19_control_cells_paper_ordering(benchmark):
     def pps(name):
         return results[name]["forwarded"] / results[name]["elapsed"]
 
-    # The C6/C16 paper ordering, same slacks: single-cell wall-clock
-    # noise gets 0.9, and the fused/vtable pair (a ~1-2% effect once
-    # batching amortises dispatch) takes 0.75 under smoke.
+    # The C6/C16 paper ordering, same 0.9 slack for single-cell
+    # wall-clock noise — on the full run only: smoke mode compares no
+    # timings, so the control cells gate on their counts and audits.
+    if SMOKE:
+        return
     assert pps("monolithic") >= pps("Click-style") * 0.9
     assert pps("Click-style") >= pps("CF fused") * 0.9
-    assert pps("CF fused") >= pps("CF vtable") * (0.75 if SMOKE else 0.9)
+    assert pps("CF fused") >= pps("CF vtable") * 0.9

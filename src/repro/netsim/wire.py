@@ -49,6 +49,13 @@ from repro.netsim.packet import (
 from repro.osbase.buffers import Buffer
 from repro.osbase.memory import DATAPATH_LEDGER as _LEDGER
 
+#: The shapes a raw wire frame arrives in.
+_RAW_FRAME = (bytes, bytearray, memoryview)
+#: What a released packet's views read: one shared empty view, so a
+#: use-after-release fails on an index instead of reading a recycled
+#: buffer.
+_RELEASED_VIEW = memoryview(b"")
+
 
 class V4View(IPv4Header):
     """IPv4 header fields as properties over a wire packet's memoryview.
@@ -474,7 +481,7 @@ class WirePacket:
     ) -> None:
         self.buffer = buffer
         self.length = buffer.length
-        self._mv = memoryview(buffer._data)
+        self._mv = buffer._mv
         self.packet_id = next(_PACKET_IDS)
         self.created_at = created_at
         self.metadata = metadata if metadata is not None else {}
@@ -589,9 +596,7 @@ class WirePacket:
         :class:`PacketError` with the acquired buffer already handed
         back — malformed input must never strand a pool buffer.
         """
-        if isinstance(frame, WirePacket):
-            return frame
-        if isinstance(frame, (bytes, bytearray, memoryview)):
+        if isinstance(frame, _RAW_FRAME):
             if pool is None:
                 buffer = Buffer.standalone(frame)
             else:
@@ -604,6 +609,8 @@ class WirePacket:
             except PacketError:
                 buffer.release_ref()
                 raise
+        if isinstance(frame, WirePacket):
+            return frame
         size = frame.size_bytes
         if pool is None:
             buffer = Buffer(None, size)
@@ -665,7 +672,7 @@ class WirePacket:
             private.refcount = 1
             private._data[: self._payload_off] = self._mv[: self._payload_off]
             self.buffer = private
-            self._mv = memoryview(private._data)
+            self._mv = private._mv
             self._mv[self._payload_off : new_length] = data
             buffer.release_ref()  # after the write: *data* may view it
         else:
@@ -768,7 +775,7 @@ class WirePacket:
             private = Buffer.standalone(self._mv[: self.length])
             buffer.release_ref()
             self.buffer = private
-            self._mv = memoryview(private._data)
+            self._mv = private._mv
 
     def release(self) -> None:
         """Return the packet's buffer reference (to its pool, when pooled).
@@ -776,7 +783,7 @@ class WirePacket:
         After release the views must not be touched; the buffer may be
         recycled to carry another packet.
         """
-        self._mv = memoryview(b"")
+        self._mv = _RELEASED_VIEW
         self.buffer.release_ref()
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
@@ -850,7 +857,7 @@ def flow_hash_of(frame: Any) -> int:
     runtime's steering stage counts those as malformed refusals
     (:class:`repro.osbase.sharding.RssSteering`).
     """
-    if isinstance(frame, (bytes, bytearray, memoryview)):
+    if isinstance(frame, _RAW_FRAME):
         return flow_hash_fields(*wire_flow_key(frame))
     return flow_hash_fields(*frame.flow_key())
 

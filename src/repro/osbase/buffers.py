@@ -105,13 +105,17 @@ class Buffer:
     buffers when no pool is plumbed in, and for copy-on-write unsharing.
     """
 
-    __slots__ = ("pool", "capacity", "length", "_data", "refcount")
+    __slots__ = ("pool", "capacity", "length", "_data", "_mv", "refcount")
 
     def __init__(self, pool: "BufferPool | None", capacity: int) -> None:
         self.pool = pool
         self.capacity = capacity
         self.length = 0
         self._data = bytearray(capacity)
+        #: The one memoryview over the backing store, built at carve and
+        #: shared by every packet the buffer ever carries (the store
+        #: never resizes, so the view never goes stale).
+        self._mv = memoryview(self._data)
         self.refcount = 0
         # Every fresh carve is an *allocation* in the datapath ledger;
         # pool recycling (acquire/release) deliberately is not, which is
@@ -138,7 +142,7 @@ class Buffer:
 
     def view(self) -> memoryview:
         """Zero-copy view of the valid region."""
-        return memoryview(self._data)[: self.length]
+        return self._mv[: self.length]
 
     def tobytes(self) -> bytes:
         """Copy the valid region out as bytes."""

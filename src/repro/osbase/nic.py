@@ -40,21 +40,25 @@ from repro.opencom.errors import ResourceError
 from repro.opencom.interfaces import Interface
 from repro.osbase.buffers import release_dropped
 
-#: Lazily resolved once (netsim sits above osbase, so the import cannot
-#: run at module load) and cached — ``_ingest`` is on the per-packet hot
-#: path of every pooled-ingress benchmark.
-_WIRE_PACKET = None
+#: ``WirePacket.ingest`` and ``PacketError``, resolved on the first pooled
+#: receive (netsim sits above osbase, so the import cannot run at module
+#: load) and cached — ingest is on the per-frame hot path of every
+#: pooled-ingress benchmark.
+_INGEST: Callable[..., Any] | None = None
 _PACKET_ERROR: type[Exception] | None = None
 
+#: The shapes a raw wire frame arrives in.
+_RAW_FRAME = (bytes, bytearray, memoryview)
 
-def _wire_packet_class():
-    global _WIRE_PACKET, _PACKET_ERROR
-    if _WIRE_PACKET is None:
+
+def _wire_ingest() -> Callable[..., Any]:
+    global _INGEST, _PACKET_ERROR
+    if _INGEST is None:
         from repro.netsim.wire import PacketError, WirePacket
 
-        _WIRE_PACKET = WirePacket
+        _INGEST = WirePacket.ingest
         _PACKET_ERROR = PacketError
-    return _WIRE_PACKET
+    return _INGEST
 
 
 class INic(Interface):
@@ -62,6 +66,11 @@ class INic(Interface):
 
     def receive_frame(self, packet) -> bool:
         """Network side: deposit a packet into RX; False when dropped."""
+        ...
+
+    def receive_batch(self, frames) -> int:
+        """Network side: deposit frames in order; returns how many were
+        accepted."""
         ...
 
     def poll_rx(self):
@@ -80,12 +89,15 @@ class INic(Interface):
 def _frame_size(frame: Any) -> int | None:
     """On-wire size of an arriving frame, for MTU validation.
 
-    Wire/materialised packets report ``size_bytes``; raw byte frames
-    their length; anything else is asked to serialise itself.  Returns
-    None for an unsizable frame — the caller treats that as invalid
-    rather than letting it default past MTU validation (the historical
-    ``getattr(packet, "size_bytes", 0)`` bug).
+    Raw byte frames (the common arrival, so tested first) report their
+    length; wire/materialised packets ``size_bytes``; anything else is
+    asked to serialise itself.  Returns None for an unsizable frame —
+    the caller treats that as invalid rather than letting it default
+    past MTU validation (the historical ``getattr(packet, "size_bytes",
+    0)`` bug).
     """
+    if isinstance(frame, _RAW_FRAME):
+        return len(frame)
     size = getattr(frame, "size_bytes", None)
     if size is not None:
         return size
@@ -145,71 +157,94 @@ class Nic(Component):
 
     # -- network side ------------------------------------------------------------
 
-    def _ingest(self, frame: Any):
-        """Materialise *frame* on a pooled buffer (wire packets pass
-        through untouched — they already live on a buffer).  Returns None
-        when the pool is exhausted under a non-raising policy."""
-        return _wire_packet_class().ingest(frame, pool=self.pool)
-
     def receive_frame(self, packet: Any) -> bool:
         """Deposit an arriving packet; returns False when dropped (or,
         under a backpressure pool policy, refused without being consumed).
+        The one-frame case of :meth:`receive_batch`."""
+        return self.receive_batch((packet,)) == 1
+
+    def receive_batch(self, frames: Any) -> int:
+        """Deposit arriving frames in order; returns how many were
+        accepted.
+
+        Each frame gets exactly the outcome and counters it would get
+        alone: an oversize or unsizable frame, a ring overrun, each pool
+        exhaustion policy and a malformed frame are all counted and
+        skipped, so one bad frame never unwinds the rest of the batch
+        (only a ``raise``-policy pool running dry does, at that frame,
+        as it always has).  The ring space is read once per batch:
+        nothing drains the ring while the batch fills it.
         """
-        size = _frame_size(packet)
-        if size is None or size > self.mtu:
-            # Unsizable frames are malformed, not free passes past MTU
-            # validation; dropped frames hand back any pooled buffer.
-            self.counters["oversize_drops"] += 1
-            release_dropped(packet)
-            return False
-        if self.rx_handler is None and len(self._rx) >= self.rx_ring_size:
-            # Ring-full is checked before the pool acquire so an overrun
-            # never burns (and immediately strands) a pooled buffer.
-            self.counters["rx_drops"] += 1
-            self.counters["rx_overruns"] += 1
-            release_dropped(packet)
-            return False
-        if self.pool is not None:
-            try:
-                ingested = self._ingest(packet)
-            except ResourceError:
-                # A frame within MTU but larger than any pool buffer can
-                # never be materialised: under the datapath policies it is
-                # an oversize drop (not a transient refusal — retrying
-                # could never succeed), never a mid-datapath unwind.
-                if getattr(self.pool, "exhaustion_policy", "raise") == "raise":
-                    raise
-                self.counters["oversize_drops"] += 1
-                release_dropped(packet)
-                return False
-            except Exception as exc:
-                if _PACKET_ERROR is None or not isinstance(exc, _PACKET_ERROR):
-                    raise
-                # Unparseable bytes (truncated header, unknown version)
-                # are malformed input, not a datapath error: ingest has
-                # already handed the acquired buffer back, so this is a
-                # counted drop, never a mid-datapath unwind.
-                self.counters["rx_drops"] += 1
-                self.counters["malformed_drops"] += 1
-                return False
-            if ingested is None:
-                if getattr(self.pool, "exhaustion_policy", "raise") == "backpressure":
-                    # The frame is refused, not consumed: the sender may
-                    # hold it and retry, so this is not a drop.
-                    self.counters["rx_backpressure"] += 1
-                    return False
-                self.counters["rx_drops"] += 1
-                self.counters["pool_exhausted_drops"] += 1
-                release_dropped(packet)
-                return False
-            packet = ingested
-        if self.rx_handler is not None:
-            self.counters["rx_packets"] += 1
-            self.rx_handler(packet)
-            return True
-        self._rx.append(packet)
-        self.counters["rx_packets"] += 1
-        return True
+        counters = self.counters
+        mtu = self.mtu
+        pool = self.pool
+        handler = self.rx_handler
+        rx = self._rx
+        ingest = _wire_ingest() if pool is not None else None
+        # Push mode has no ring, so no overrun.
+        space = len(frames) if handler is not None else self.rx_ring_size - len(rx)
+        accepted = 0
+        try:
+            for frame in frames:
+                size = _frame_size(frame)
+                if size is None or size > mtu:
+                    # Unsizable frames are malformed, not free passes past
+                    # MTU validation; dropped frames hand back any pooled
+                    # buffer.
+                    counters["oversize_drops"] += 1
+                    release_dropped(frame)
+                    continue
+                if accepted >= space:
+                    # Ring-full is checked before the pool acquire so an
+                    # overrun never burns (and immediately strands) a
+                    # pooled buffer.
+                    counters["rx_drops"] += 1
+                    counters["rx_overruns"] += 1
+                    release_dropped(frame)
+                    continue
+                if ingest is not None:
+                    try:
+                        ingested = ingest(frame, pool=pool)
+                    except ResourceError:
+                        # A frame within MTU but larger than any pool
+                        # buffer can never be materialised: under the
+                        # datapath policies it is an oversize drop (not a
+                        # transient refusal — retrying could never
+                        # succeed), never a mid-datapath unwind.
+                        if getattr(pool, "exhaustion_policy", "raise") == "raise":
+                            raise
+                        counters["oversize_drops"] += 1
+                        release_dropped(frame)
+                        continue
+                    except _PACKET_ERROR:
+                        # Unparseable bytes (truncated header, unknown
+                        # version) are malformed input, not a datapath
+                        # error: ingest has already handed the acquired
+                        # buffer back, so this is a counted drop.
+                        counters["rx_drops"] += 1
+                        counters["malformed_drops"] += 1
+                        continue
+                    if ingested is None:
+                        if getattr(pool, "exhaustion_policy", "raise") == "backpressure":
+                            # The frame is refused, not consumed: the
+                            # sender may hold it and retry, so this is not
+                            # a drop.
+                            counters["rx_backpressure"] += 1
+                            continue
+                        counters["rx_drops"] += 1
+                        counters["pool_exhausted_drops"] += 1
+                        release_dropped(frame)
+                        continue
+                    frame = ingested
+                accepted += 1
+                if handler is None:
+                    rx.append(frame)
+                else:
+                    handler(frame)
+        finally:
+            # Also on an unwind: the frames already accepted stay counted.
+            counters["rx_packets"] += accepted
+        return accepted
 
     def poll_tx(self) -> Any | None:
         """Take one packet off the TX ring (link drain side).

@@ -9,11 +9,11 @@ thread-management CF, with the CF's modelled-multicore service loop
 their quanta overlap in virtual time.  Three pieces compose the runtime:
 
 - **steering** (:class:`RssSteering`) — an RSS-style flow-hash stage at
-  the RX edge fans arriving frames out to per-shard RX rings, so every
-  packet of a flow lands on one shard's FIFO backlog (the hash function
-  is injected — typically :func:`repro.netsim.wire.flow_hash_of`, which
-  reads raw wire bytes without materialising anything; osbase never
-  imports upward);
+  the RX edge fans each arriving batch out to per-shard RX rings, one
+  group per shard in arrival order, so every packet of a flow lands on
+  one shard's FIFO backlog (the hash function is injected — typically
+  :func:`repro.netsim.wire.flow_hash_of`, which reads raw wire bytes
+  without materialising anything; osbase never imports upward);
 - **shards** (:class:`Shard`) — each shard owns a private RX NIC, a
   private :class:`~repro.osbase.buffers.BufferPool` slice (see
   :func:`~repro.osbase.buffers.carve_shard_pools`) and its own engine
@@ -135,11 +135,14 @@ class WorkerKilled(OpenComError):
 class RssSteering:
     """RSS-style flow-hash steering: frame → ``outputs[table[hash % B]]``.
 
-    *outputs* are per-shard receive callables (typically each shard NIC's
-    ``receive_frame``) returning True when the frame was accepted;
-    *hash_fn* maps a frame to a stable integer.  The hash must not
-    depend on the frame's representation (raw bytes vs materialised vs
-    wire packet) or steering would split a flow across shards —
+    *outputs* are per-shard batch receivers (typically each shard NIC's
+    ``receive_batch``): each takes a list of frames in arrival order and
+    returns how many it accepted, having refused the rest (ring overflow
+    / pool exhaustion — the NIC's own counters say which).  An output
+    that raises unwinds the steering pass.  *hash_fn* maps a frame to a
+    stable integer.  The hash must not depend on the frame's
+    representation (raw bytes vs materialised vs wire packet) or
+    steering would split a flow across shards —
     :func:`repro.netsim.wire.flow_hash_of` guarantees exactly that.
 
     *table* is the RSS indirection table mapping hash buckets to output
@@ -244,24 +247,42 @@ class RssSteering:
         when the frame was malformed (counted in :attr:`malformed`) or
         that shard's receive refused it (the refusal is counted here,
         dropped/backpressured accounting lives with the NIC)."""
-        try:
-            index = self.shard_of(frame)
-        except self.reject:
-            self.malformed += 1
-            return None
-        if self.outputs[index](frame):
-            self.steered[index] += 1
-            return index
-        self.refused[index] += 1
+        for index, accepted in self._deliver((frame,)):
+            return index if accepted else None
         return None
 
     def steer_batch(self, frames: list) -> int:
         """Steer a whole batch; returns frames accepted."""
-        accepted = 0
+        return sum(accepted for _, accepted in self._deliver(frames))
+
+    def _deliver(self, frames: Any) -> list[tuple[int, int]]:
+        """The one steering loop: hash each frame once, group the frames
+        per output in arrival order, hand each group to its output in
+        one call.  Returns ``(output index, frames accepted)`` per
+        non-empty group.  Outputs share nothing, so each one sees
+        exactly the frames, in exactly the order, a frame-at-a-time
+        loop would have given it."""
+        hash_fn = self.hash_fn
+        table = self.table
+        buckets = len(table)
+        reject = self.reject
+        groups: list[list] = [[] for _ in self.outputs]
         for frame in frames:
-            if self.steer(frame) is not None:
-                accepted += 1
-        return accepted
+            try:
+                index = table[hash_fn(frame) % buckets]
+            except reject:
+                self.malformed += 1
+                continue
+            groups[index].append(frame)
+        outputs, steered, refused = self.outputs, self.steered, self.refused
+        delivered = []
+        for index, group in enumerate(groups):
+            if group:
+                accepted = outputs[index](group)
+                steered[index] += accepted
+                refused[index] += len(group) - accepted
+                delivered.append((index, accepted))
+        return delivered
 
 
 class HashRing:
@@ -595,25 +616,47 @@ class ShardedDatapath:
         return self.steering.steer(frame)
 
     def steer_batch(self, frames: list) -> int:
-        """Steer a whole arriving batch; returns frames accepted."""
+        """Steer a whole arriving batch; returns frames accepted.
+
+        One steering pass hands each shard its frames as one group (see
+        :meth:`RssSteering.steer_batch`).  Two states need the arrival
+        order *across* shards instead, and steer frame by frame: a
+        standing redirect (a redirected bucket's frames share the
+        successor's ring with its own, interleaved as they arrived) and
+        a shard pool that raises on exhaustion (the unwinding frame must
+        leave every earlier frame delivered and no later one)."""
         if self._stopping:
             raise ShardingError(f"{self.name} is shut down")
+        if self._redirect or self._pool_may_raise():
+            steer = self.steering.steer
+            return sum(steer(frame) is not None for frame in frames)
         return self.steering.steer_batch(frames)
 
-    def _ingress_for(self, index: int) -> Callable[[Any], bool]:
-        """The steering output for hash bucket *index*.
+    def _pool_may_raise(self) -> bool:
+        """True when some shard NIC's pool raises when it runs dry."""
+        for shard in self.shards:
+            pool = shard.nic.pool
+            if pool is not None and getattr(pool, "exhaustion_policy", "raise") == "raise":
+                return True
+        return False
 
-        Fast path (no fault state anywhere) is a direct NIC receive —
+    def _ingress_for(self, index: int) -> Callable[[list], int]:
+        """The steering output for shard *index*: takes that shard's
+        group of a steered batch, returns how many frames it accepted.
+
+        Fast path (no fault state anywhere) is one NIC batch receive —
         the indirection costs two empty-dict truthiness checks per
-        frame, so the C15 hot path is unperturbed.  Under recovery the
-        slow path applies parking and bucket redirects.
+        group, so the C15 hot path is unperturbed.  Under recovery or
+        resize the slow path applies parking and bucket redirects, frame
+        by frame in arrival order.
         """
-        receive = self.shards[index].nic.receive_frame
+        receive = self.shards[index].nic.receive_batch
 
-        def ingress(frame: Any) -> bool:
+        def ingress(frames: list) -> int:
             if self._parked or self._redirect:
-                return self._ingress_slow(index, frame)
-            return receive(frame)
+                slow = self._ingress_slow
+                return sum(slow(index, frame) for frame in frames)
+            return receive(frames)
 
         return ingress
 
@@ -732,16 +775,11 @@ class ShardedDatapath:
         successor = pending["to"]
         self._redirect[dead] = successor
         parked = self._parked.pop(dead, [])
-        successor_receive = self.shards[successor].nic.receive_frame
-        flushed = refused = 0
-        for frame in parked:
-            if successor_receive(frame):
-                flushed += 1
-            else:
-                # Ring overflow / pool backpressure at the successor:
-                # the frame was never materialised into a pooled buffer,
-                # so refusing it here cannot leak (same as any NIC drop).
-                refused += 1
+        # Ring overflow / pool backpressure at the successor refuses a
+        # frame that was never materialised into a pooled buffer, so
+        # refusing it here cannot leak (same as any NIC drop).
+        flushed = self.shards[successor].nic.receive_batch(parked)
+        refused = len(parked) - flushed
         pool = shard.pool
         pending["record"] = {
             "shard": dead,
@@ -788,11 +826,8 @@ class ShardedDatapath:
             return
         if self._redirect.get(dead) == pending["to"]:
             del self._redirect[dead]
-        parked = self._parked.pop(dead, [])
         dead_shard = self.shards[dead]
-        receive = dead_shard.nic.receive_frame
-        for frame in parked:
-            receive(frame)
+        dead_shard.nic.receive_batch(self._parked.pop(dead, []))
         # The shard stays in service after an aborted recovery: rebuild
         # its compiled hot path (quiesce tore it down).
         if dead_shard.recompile is not None:
@@ -1119,11 +1154,8 @@ class ShardedDatapath:
         """Return every parked frame to its own shard's ring, in order."""
         for index in sorted(self._parked):
             frames = self._parked.pop(index)
-            if not 0 <= index < len(self.shards):
-                continue
-            receive = self.shards[index].nic.receive_frame
-            for frame in frames:
-                receive(frame)
+            if 0 <= index < len(self.shards):
+                self.shards[index].nic.receive_batch(frames)
 
     def resize(self, n: int) -> dict:
         """Run the whole elastic resize locally (no coordination

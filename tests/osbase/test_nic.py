@@ -224,6 +224,78 @@ class TestPooledIngress:
         assert pool.stats()["in_flight"] == 0
 
 
+def arrivals():
+    """One of every frame shape and outcome, valid ones spread through:
+    raw bytes, a Packet, a standalone WirePacket, malformed bytes (empty,
+    truncated IPv4, truncated UDP, version 1), an over-MTU frame and a
+    frame too big for the 256-byte pool buffers."""
+    raw = packet().to_bytes()
+    version1 = bytearray(raw)
+    version1[0] = 0x15
+    return [
+        raw, packet(), b"", to_wire(packet()), raw[:12], packet(size=2000),
+        raw, raw[:24], bytes(version1), packet(size=300), raw, packet(),
+        raw, to_wire(packet()), raw, raw,
+    ]  # fmt: skip
+
+
+def frame_bytes(frame):
+    return frame.to_bytes() if isinstance(frame, WirePacket) else frame
+
+
+class TestReceiveBatch:
+    """``receive_batch`` is the NIC's one receive body: a batch must end
+    exactly where the same frames offered one ``receive_frame`` at a time
+    end — outcome, counters, ring and pool."""
+
+    @pytest.mark.parametrize("policy", ["drop-newest", "backpressure", "raise"])
+    def test_batch_matches_frame_at_a_time(self, policy):
+        ends = []
+        for receive in (
+            lambda nic, frames: nic.receive_batch(frames),
+            lambda nic, frames: sum(nic.receive_frame(f) for f in frames),
+        ):
+            pool = BufferPool(256, 4, exhaustion_policy=policy)
+            nic = Nic(rx_ring_size=6, pool=pool)
+            try:
+                accepted = receive(nic, arrivals())
+            except ResourceError:
+                accepted = ResourceError
+            ends.append(
+                (
+                    accepted,
+                    dict(nic.counters),
+                    [frame_bytes(f) for f in nic._rx],
+                    pool.stats(),
+                )
+            )
+            nic.drain_rx(lambda frame: frame.release())
+        assert ends[0] == ends[1]
+        if policy != "raise":
+            # Every drop kind was exercised, not just the happy path.
+            counters = ends[0][1]
+            assert counters["malformed_drops"] == 4
+            assert counters["oversize_drops"] == 2
+            assert counters["rx_overruns"] == 2
+            assert counters["pool_exhausted_drops"] + counters["rx_backpressure"] == 2
+
+    def test_push_mode_hands_every_accepted_frame_over(self, nic):
+        handled = []
+        nic.rx_handler = handled.append
+        frames = [packet() for _ in range(10)]  # more than the 4-slot ring
+        assert nic.receive_batch(frames) == 10
+        assert handled == frames
+        assert nic.counters["rx_packets"] == 10
+
+    def test_unwind_keeps_accepted_frames_counted(self):
+        pool = BufferPool(256, 2)  # raise policy
+        nic = Nic(pool=pool)
+        with pytest.raises(ResourceError):
+            nic.receive_batch([packet(), packet(), packet()])
+        assert nic.counters["rx_packets"] == nic.rx_depth == 2
+        nic.drain_rx(lambda frame: frame.release())
+
+
 class TestTxDrain:
     def test_drain_tx_releases_to_pool(self, capsule):
         pool = BufferPool(256, 4)

@@ -2,6 +2,7 @@
 scheduler service loop, per-flow ordering under work-stealing, and the
 per-shard pool lifecycle audit."""
 
+import random
 from collections import defaultdict
 from struct import pack, unpack_from
 
@@ -18,7 +19,7 @@ from repro.netsim import (
     to_wire,
     wire_flow_key,
 )
-from repro.netsim.packet import PROTO_ICMP, PacketError
+from repro.netsim.packet import FLOW_HASH_MEMO_SIZE, PROTO_ICMP, PacketError
 from repro.osbase import (
     Nic,
     PumpExhausted,
@@ -39,6 +40,29 @@ from repro.router import build_sharded_forwarding_datapath
 
 def manager():
     return ThreadManagerCF(VirtualClock(), scheduler=RoundRobinScheduler())
+
+
+def uncached_flow_hash(version, src, dst, sport, dport, proto):
+    """The steering hash written out from its definition, with no memo:
+    FNV-1a over the five-tuple's big-endian bytes (addresses at native
+    width), then the murmur3 64-bit finaliser."""
+    mask = (1 << 64) - 1
+    width = 16 if version == 6 else 4
+    data = (
+        version.to_bytes(1, "big")
+        + src.to_bytes(width, "big")
+        + dst.to_bytes(width, "big")
+        + sport.to_bytes(2, "big")
+        + dport.to_bytes(2, "big")
+        + proto.to_bytes(1, "big")
+    )
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & mask
+    for multiplier in (0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53):
+        h ^= h >> 33
+        h = (h * multiplier) & mask
+    return h ^ (h >> 33)
 
 
 class TestFlowHash:
@@ -89,6 +113,41 @@ class TestFlowHash:
         # five-tuple, pinned here so a steering change cannot slip in as
         # an implementation detail.
         assert flow_hash_fields(4, 1, 2, 3, 4, 17) == 0xBFCB2FA6B8563FCF
+
+    def test_memo_agrees_with_uncached_fnv(self):
+        # The memo must be invisible: every value equals the per-byte
+        # FNV-1a + finaliser computed from scratch, on v4 and v6 tuples
+        # (128-bit addresses included).
+        rng = random.Random(20030616)
+        for i in range(10_000):
+            version = 6 if i % 2 else 4
+            bits = 128 if version == 6 else 32
+            fields = (
+                version,
+                rng.getrandbits(bits),
+                rng.getrandbits(bits),
+                rng.getrandbits(16),
+                rng.getrandbits(16),
+                rng.choice((6, 17, rng.getrandbits(8))),
+            )
+            assert flow_hash_fields(*fields) == uncached_flow_hash(*fields), fields
+
+    def test_batch_pays_one_miss_per_flow(self):
+        flows = [(f"10.11.{i}.1", 5000 + i) for i in range(12)]
+        frames = [seq_frame(flow, seq) for seq in range(10) for flow in flows]
+        pools = carve_shard_pools(256, 320, 2, exhaustion_policy="drop-newest")
+        datapath = build(2, pools, Recorder())
+        flow_hash_fields.cache_clear()
+        assert datapath.steer_batch(frames) == len(frames)
+        info = flow_hash_fields.cache_info()
+        assert info.misses == len(flows)
+        assert info.hits == len(frames) - len(flows)
+        datapath.pump()
+        datapath.shutdown()
+
+    def test_memo_bound_is_the_documented_constant(self):
+        assert FLOW_HASH_MEMO_SIZE == 1 << 14
+        assert flow_hash_fields.cache_info().maxsize == FLOW_HASH_MEMO_SIZE
 
     def test_transportless_packet_hashes_with_zero_ports(self):
         icmp = Packet(

@@ -3,17 +3,17 @@
 Runs ``benchmarks/run_all.py --smoke`` — the batching, zero-copy,
 buffer-lifecycle, sharding, elasticity, fault, compiled-hot-path and
 self-adaptation data-path benchmarks (C11–C19, R1) on a tiny trace.
-Smoke gates on the deterministic claims: C13's copies-per-packet, C14's
-zero steady-state allocations and balanced acquire/release, C15's
-virtual-time multicore scaling, C16's zero-drop live resizes, R1's
-fault scenario, per-flow ordering and per-shard pool audits — so a
+Smoke gates on the deterministic claims only: delivered counts, C13's
+copies-per-packet, C14's zero steady-state allocations and balanced
+acquire/release, C15's virtual-time multicore scaling, C16's zero-drop
+live resizes, R1's fault scenario, C19's adaptive-beats-worst margin and
+typed veto, per-flow ordering and per-shard pool audits — so a
 dispatch-, byte-path-, buffer-lifecycle- or concurrency regression
-fails the ordinary test run.  C15, C16, C17, C18's ordering cells and
-R1's control cells assert no wall-clock comparison under smoke; the
-remaining benches (C11–C14, C19's control cells) still check the paper
-ordering with slack.  The full-scale trajectory
-stays in the benchmarks themselves (``run_all.py`` without flags →
-``BENCH_results.json``).
+fails the ordinary test run.  No smoke bench times anything: every
+wall-clock comparison (the paper orderings, speedup ratios) runs on the
+full profile only, so a busy host cannot fail this gate.  The
+performance record is E1 (``benchmarks/e1/``); ``run_all.py``'s JSON
+output is a local scratch file.
 
 Also covers the harness's own gate: every ``bench_*.py`` must carry the
 ``bench`` pytest marker or ``run_all.py`` refuses to run.
