@@ -1,9 +1,10 @@
 """Run every benchmark file and record a perf trajectory.
 
-Usage::
+Usage, from the repository root (no environment needed; every child
+run gets ``src/`` on ``PYTHONPATH``)::
 
-    PYTHONPATH=src python benchmarks/run_all.py [--out BENCH_results.json]
-    PYTHONPATH=src python benchmarks/run_all.py --smoke
+    python benchmarks/run_all.py [--out BENCH_results.json]
+    python benchmarks/run_all.py --smoke
 
 Each ``bench_*.py`` is executed as its own pytest session (isolation: one
 benchmark's interpreter state cannot skew another's timings).  The result
@@ -122,9 +123,20 @@ def missing_bench_markers(benches: list[Path]) -> list[str]:
     ]
 
 
+def subprocess_env() -> dict[str, str]:
+    """The environment every child pytest starts from: this process's,
+    with the repository's ``src/`` first on ``PYTHONPATH``, so the script
+    runs from the repo root with no environment set up."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def run_one(bench: Path, *, smoke: bool = False) -> dict:
     """Run one benchmark file under pytest; capture tables and status."""
-    env = dict(os.environ)
+    env = subprocess_env()
     if smoke:
         env["REPRO_BENCH_SMOKE"] = "1"
     start = time.perf_counter()
@@ -180,11 +192,8 @@ PROPERTY_SUITES = (
 def run_properties(*, smoke: bool = False) -> dict:
     """Run the slow property suites; full example budget unless smoke."""
     profile = "bounded" if smoke else "full"
-    env = dict(os.environ)
+    env = subprocess_env()
     env["REPRO_PROPERTY_PROFILE"] = profile
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", *PROPERTY_SUITES, "-q", "--no-header"],

@@ -8,11 +8,10 @@ engine advances virtual time deterministically.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from repro.opencom.errors import OpenComError
 from repro.osbase.clock import VirtualClock
@@ -22,28 +21,48 @@ class EngineError(OpenComError):
     """Invalid engine operation."""
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
 class EventHandle:
-    """Cancellation handle for a scheduled event."""
+    """Cancellation handle for a scheduled event.
 
-    def __init__(self, event: _Event) -> None:
-        self._event = event
+    A heap entry is a plain ``[time, sequence, callback]`` list, so the
+    heap orders entries by ``(time, sequence)`` in C; cancelling clears
+    the callback slot, and the engine skips an entry whose callback is
+    None.
+    """
+
+    __slots__ = ("_entry",)
+
+    def __init__(self, entry: list) -> None:
+        self._entry = entry
 
     def cancel(self) -> None:
         """Suppress the event if it has not fired yet."""
-        self._event.cancelled = True
+        self._entry[2] = None
 
     @property
     def time(self) -> float:
         """Scheduled firing time."""
-        return self._event.time
+        return self._entry[0]
+
+
+class _SeriesHandle(EventHandle):
+    """Handle over a :meth:`Engine.schedule_periodic` series: cancel
+    stops the whole series, ``time`` is the current arm's."""
+
+    __slots__ = ("stopped", "handle")
+
+    def __init__(self) -> None:
+        self.stopped = False
+        self.handle: EventHandle | None = None
+
+    def cancel(self) -> None:
+        self.stopped = True
+        if self.handle is not None:
+            self.handle.cancel()
+
+    @property
+    def time(self) -> float:
+        return self.handle.time if self.handle is not None else float("inf")
 
 
 class Engine:
@@ -51,7 +70,7 @@ class Engine:
 
     def __init__(self, clock: VirtualClock | None = None) -> None:
         self.clock = clock if clock is not None else VirtualClock()
-        self._heap: list[_Event] = []
+        self._heap: list[list] = []
         self._sequence = itertools.count()
         self.events_processed = 0
         #: Exceptions raised by event callbacks (the engine never dies on a
@@ -75,9 +94,9 @@ class Engine:
             raise EngineError(
                 f"cannot schedule at {time}, now is {self.clock.now}"
             )
-        event = _Event(time, next(self._sequence), callback)
-        heapq.heappush(self._heap, event)
-        return EventHandle(event)
+        entry = [time, next(self._sequence), callback]
+        heappush(self._heap, entry)
+        return EventHandle(entry)
 
     def schedule_periodic(
         self,
@@ -89,66 +108,54 @@ class Engine:
     ) -> EventHandle:
         """Schedule a self-re-arming periodic callback.
 
-        Cancelling the returned handle stops the *current* arm; the wrapper
-        checks a shared flag so cancellation stops the whole series.
+        Cancelling the returned handle stops the whole series: the
+        handle cancels the current arm and every later tick sees it
+        stopped.
         """
         if period <= 0:
             raise EngineError("period must be positive")
-        state = {"stopped": False, "handle": None}
+        series = _SeriesHandle()
 
         def tick() -> None:
-            if state["stopped"]:
+            if series.stopped:
                 return
             callback()
             next_time = self.clock.now + period + jitter
             if until is None or next_time <= until:
-                state["handle"] = self.schedule_at(next_time, tick)
+                series.handle = self.schedule_at(next_time, tick)
 
-        first = self.schedule(period, tick)
-        state["handle"] = first
-
-        class _SeriesHandle(EventHandle):
-            def __init__(self) -> None:  # noqa: D401 - tiny adapter
-                pass
-
-            def cancel(self) -> None:
-                state["stopped"] = True
-                handle = state["handle"]
-                if handle is not None:
-                    handle.cancel()
-
-            @property
-            def time(self) -> float:
-                handle = state["handle"]
-                return handle.time if handle is not None else float("inf")
-
-        return _SeriesHandle()
+        series.handle = self.schedule(period, tick)
+        return series
 
     # -- running --------------------------------------------------------------------
 
     def step(self) -> bool:
         """Fire the next event; returns False when the heap is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
+        heap = self._heap
+        while heap:
+            time, _, callback = heappop(heap)
+            if callback is None:  # cancelled
                 continue
-            self.clock.advance_to(max(event.time, self.clock.now))
+            clock = self.clock
+            if time > clock.now:
+                clock.advance_to(time)
             self.events_processed += 1
             try:
-                event.callback()
+                callback()
             except Exception as exc:  # noqa: BLE001 - containment boundary
-                self.callback_errors.append((self.clock.now, exc))
+                self.callback_errors.append((clock.now, exc))
             return True
         return False
 
     def run_until(self, deadline: float, *, max_events: int = 10_000_000) -> int:
         """Process events up to *deadline* (clock ends exactly there);
         returns the number of events processed."""
+        heap = self._heap
         processed = 0
         while processed < max_events:
-            while self._heap and self._heap[0].cancelled:
-                heapq.heappop(self._heap)
-            if not self._heap or self._heap[0].time > deadline:
+            while heap and heap[0][2] is None:
+                heappop(heap)
+            if not heap or heap[0][0] > deadline:
                 break
             self.step()
             processed += 1
@@ -165,7 +172,7 @@ class Engine:
 
     def pending(self) -> int:
         """Events scheduled and not cancelled."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for entry in self._heap if entry[2] is not None)
 
 
 class BackoffPolicy:

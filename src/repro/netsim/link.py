@@ -22,6 +22,7 @@ traffic (and how many RNG draws) preceded T.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 
 from typing import TYPE_CHECKING
@@ -47,7 +48,15 @@ class LinkStats:
 
 
 class _Direction:
-    """One direction of a duplex link."""
+    """One direction of a duplex link, delivering into *peer* at *port*.
+
+    Frames in flight wait in a FIFO and one bound method, :meth:`_arrive`,
+    delivers the head.  That is sound because a direction serialises in
+    send order (``busy_until`` never moves back) and adds one fixed
+    propagation delay: arrival times are non-decreasing in send order, and
+    equal times fire in schedule order, so the event that fires is always
+    the oldest frame's.
+    """
 
     def __init__(
         self,
@@ -57,6 +66,8 @@ class _Direction:
         loss_rate: float,
         max_backlog: int,
         rng: random.Random,
+        peer: "Node",
+        port: str,
     ) -> None:
         self.engine = engine
         self.bandwidth_bps = bandwidth_bps
@@ -65,11 +76,18 @@ class _Direction:
         self.max_backlog = max_backlog
         self.rng = rng
         self.busy_until = 0.0
-        self.in_flight = 0
         self.up = True
         self.stats = LinkStats()
+        self._deliver = peer.deliver
+        self._port = port
+        self._flight: deque = deque()
 
-    def send(self, packet: Packet, deliver) -> bool:
+    @property
+    def in_flight(self) -> int:
+        """Frames sent and not yet arrived (or black-holed)."""
+        return len(self._flight)
+
+    def send(self, packet: Packet) -> bool:
         """Serialise and propagate one packet; returns False when dropped.
 
         The call consumes the packet either way: a backlog drop, a loss,
@@ -84,7 +102,7 @@ class _Direction:
             self.stats.dropped_down += 1
             release_dropped(packet)
             return True
-        if self.in_flight >= self.max_backlog:
+        if len(self._flight) >= self.max_backlog:
             self.stats.dropped_backlog += 1
             release_dropped(packet)
             return False
@@ -98,22 +116,20 @@ class _Direction:
             self.stats.lost += 1
             release_dropped(packet)
             return True  # the sender cannot tell a lost packet was lost
-        arrival = self.busy_until + self.latency_s
-        self.in_flight += 1
-
-        def arrive() -> None:
-            self.in_flight -= 1
-            if not self.up:
-                # Partition landed while the packet was in flight: it
-                # never crosses.
-                self.stats.dropped_down += 1
-                release_dropped(packet)
-                return
-            self.stats.delivered += 1
-            deliver(packet)
-
-        self.engine.schedule_at(arrival, arrive)
+        self._flight.append(packet)
+        self.engine.schedule_at(self.busy_until + self.latency_s, self._arrive)
         return True
+
+    def _arrive(self) -> None:
+        packet = self._flight.popleft()
+        if not self.up:
+            # Partition landed while the packet was in flight: it never
+            # crosses.
+            self.stats.dropped_down += 1
+            release_dropped(packet)
+            return
+        self.stats.delivered += 1
+        self._deliver(self._port, packet)
 
     @property
     def utilisation_horizon(self) -> float:
@@ -146,21 +162,15 @@ class Link:
         self.endpoint_b = b
         rng_fwd, rng_rev = _direction_rngs(seed)
         self._forward = _Direction(
-            engine, bandwidth_bps, latency_s, loss_rate, max_backlog, rng_fwd
+            engine, bandwidth_bps, latency_s, loss_rate, max_backlog, rng_fwd, *b
         )
         self._reverse = _Direction(
-            engine, bandwidth_bps, latency_s, loss_rate, max_backlog, rng_rev
+            engine, bandwidth_bps, latency_s, loss_rate, max_backlog, rng_rev, *a
         )
 
     def send_from(self, node: "Node", packet: Packet) -> bool:
         """Send a packet from one of the two endpoints toward the other."""
-        if node is self.endpoint_a[0]:
-            direction, (peer, port) = self._forward, self.endpoint_b
-        elif node is self.endpoint_b[0]:
-            direction, (peer, port) = self._reverse, self.endpoint_a
-        else:
-            raise ValueError(f"node {node.name} is not an endpoint of this link")
-        return direction.send(packet, lambda pkt: peer.deliver(port, pkt))
+        return self.direction_from(node).send(packet)
 
     def peer_of(self, node: "Node") -> "Node":
         """The node at the other end."""

@@ -43,6 +43,8 @@ class Node:
         self.capsule = Capsule(f"node:{name}")
         self.address = ipv4(address) if address is not None else 0
         self._links: dict[str, Link] = {}
+        #: Neighbour name -> the first port attached toward it.
+        self._port_to: dict[str, str] = {}
         self._nics: dict[str, Nic] = {}
         self._packet_handler: PacketHandler | None = None
         self._control_handlers: dict[int, ControlHandler] = {}
@@ -61,6 +63,7 @@ class Node:
         """Attach a link at *port*, creating (or adopting) the port's NIC."""
         if port in self._links:
             raise NodeError(f"node {self.name} already has a link on port {port!r}")
+        self._port_to.setdefault(link.peer_of(self).name, port)
         self._links[port] = link
         if nic is None:
             nic = self.capsule.instantiate(Nic, f"nic:{port}")
@@ -169,19 +172,17 @@ class Node:
 
     def send_to_neighbor(self, neighbor_name: str, packet: Packet) -> bool:
         """Transmit toward the named adjacent node."""
-        for port, link in self._links.items():
-            if link.peer_of(self).name == neighbor_name:
-                return self.send(port, packet)
-        raise NodeError(
-            f"node {self.name} has no link to {neighbor_name!r}"
-        )
+        return self.send(self.port_to(neighbor_name), packet)
 
     def port_to(self, neighbor_name: str) -> str:
-        """The local port facing the named adjacent node."""
-        for port, link in self._links.items():
-            if link.peer_of(self).name == neighbor_name:
-                return port
-        raise NodeError(f"node {self.name} has no link to {neighbor_name!r}")
+        """The local port facing the named adjacent node (the first one
+        attached, when several links reach it)."""
+        try:
+            return self._port_to[neighbor_name]
+        except KeyError:
+            raise NodeError(
+                f"node {self.name} has no link to {neighbor_name!r}"
+            ) from None
 
     def describe(self) -> dict[str, Any]:
         """Introspective summary of the node."""

@@ -51,7 +51,7 @@ from repro.osbase.memory import DATAPATH_LEDGER as _LEDGER
 
 #: The shapes a raw wire frame arrives in.
 _RAW_FRAME = (bytes, bytearray, memoryview)
-#: What a released packet's views read: one shared empty view, so a
+#: What a released packet's byte reads see: one shared empty view, so a
 #: use-after-release fails on an index instead of reading a recycled
 #: buffer.
 _RELEASED_VIEW = memoryview(b"")
@@ -778,12 +778,16 @@ class WirePacket:
             self._mv = private._mv
 
     def release(self) -> None:
-        """Return the packet's buffer reference (to its pool, when pooled).
+        """Return the packet's buffer reference (to its pool, when pooled)
+        and end the packet's life.
 
-        After release the views must not be touched; the buffer may be
-        recycled to carry another packet.
+        The buffer may be recycled to carry another packet, so the header
+        views go too: a header read after release fails loudly, and with
+        the packet ↔ view cycle broken the packet is freed by refcount
+        instead of waiting for the cyclic garbage collector.
         """
         self._mv = _RELEASED_VIEW
+        self.net = self.transport = None
         self.buffer.release_ref()
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only

@@ -7,21 +7,13 @@ Supports one-shot and periodic timers with cancellation handles.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from repro.osbase.clock import VirtualClock
 
 _TIMER_IDS = itertools.count(1)
-
-
-@dataclass(order=True)
-class _Entry:
-    deadline: float
-    sequence: int
-    timer: "Timer" = field(compare=False)
 
 
 class Timer:
@@ -47,57 +39,58 @@ class Timer:
 
 
 class TimerWheel:
-    """Priority-queue timer service bound to a :class:`VirtualClock`."""
+    """Priority-queue timer service bound to a :class:`VirtualClock`.
+
+    Heap entries are plain ``(deadline, sequence, timer)`` tuples, so the
+    heap orders them by ``(deadline, sequence)`` in C.
+    """
 
     def __init__(self, clock: VirtualClock) -> None:
         self.clock = clock
-        self._heap: list[_Entry] = []
+        self._heap: list[tuple[float, int, Timer]] = []
         self._sequence = itertools.count()
+
+    def _push(self, timer: Timer) -> Timer:
+        heappush(self._heap, (timer.deadline, next(self._sequence), timer))
+        return timer
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Timer:
         """Schedule a one-shot callback *delay* seconds from now."""
-        timer = Timer(callback, self.clock.now + max(delay, 0.0))
-        heapq.heappush(self._heap, _Entry(timer.deadline, next(self._sequence), timer))
-        return timer
+        return self._push(Timer(callback, self.clock.now + max(delay, 0.0)))
 
     def schedule_at(self, deadline: float, callback: Callable[[], None]) -> Timer:
         """Schedule a one-shot callback at an absolute virtual time."""
-        timer = Timer(callback, max(deadline, self.clock.now))
-        heapq.heappush(self._heap, _Entry(timer.deadline, next(self._sequence), timer))
-        return timer
+        return self._push(Timer(callback, max(deadline, self.clock.now)))
 
     def schedule_periodic(self, period: float, callback: Callable[[], None]) -> Timer:
         """Schedule a periodic callback with the given period (first firing
         one period from now)."""
         if period <= 0:
             raise ValueError("period must be positive")
-        timer = Timer(callback, self.clock.now + period, period=period)
-        heapq.heappush(self._heap, _Entry(timer.deadline, next(self._sequence), timer))
-        return timer
+        return self._push(Timer(callback, self.clock.now + period, period=period))
 
     def next_deadline(self) -> float | None:
         """Earliest pending deadline, or None when idle."""
-        while self._heap and self._heap[0].timer.cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].deadline if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
+        return heap[0][0] if heap else None
 
     def fire_due(self) -> int:
         """Fire every timer whose deadline is <= now; returns count fired."""
         fired = 0
         now = self.clock.now
-        while self._heap and self._heap[0].deadline <= now:
-            entry = heapq.heappop(self._heap)
-            timer = entry.timer
+        heap = self._heap
+        while heap and heap[0][0] <= now:
+            deadline, _, timer = heappop(heap)
             if timer.cancelled:
                 continue
             timer.fire_count += 1
             fired += 1
             timer.callback()
             if timer.period is not None and not timer.cancelled:
-                timer.deadline = entry.deadline + timer.period
-                heapq.heappush(
-                    self._heap, _Entry(timer.deadline, next(self._sequence), timer)
-                )
+                timer.deadline = deadline + timer.period
+                self._push(timer)
         return fired
 
     def run_until(self, deadline: float) -> int:
@@ -116,4 +109,4 @@ class TimerWheel:
 
     def pending_count(self) -> int:
         """Number of scheduled, uncancelled timers."""
-        return sum(1 for e in self._heap if not e.timer.cancelled)
+        return sum(1 for _, _, timer in self._heap if not timer.cancelled)

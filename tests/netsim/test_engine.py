@@ -95,6 +95,67 @@ class TestScheduling:
         assert engine.events_processed == 5
 
 
+class TestEventEntries:
+    """Heap entries order by (time, schedule order); a cancelled entry
+    stays in the heap and is skipped wherever the engine meets it."""
+
+    def test_equal_time_events_fire_in_schedule_order(self, engine):
+        order = []
+        for i in range(20):
+            engine.schedule_at(1.0 + (i % 2), lambda i=i: order.append(i))
+        engine.run()
+        assert order == list(range(0, 20, 2)) + list(range(1, 20, 2))
+
+    def test_cancelled_head_is_skipped_by_step(self, engine):
+        fired = []
+        head = engine.schedule(1.0, lambda: fired.append("head"))
+        engine.schedule(2.0, lambda: fired.append("next"))
+        head.cancel()
+        assert engine.step()
+        assert fired == ["next"]
+        assert engine.now == 2.0
+        assert engine.events_processed == 1
+        assert not engine.step()
+
+    def test_cancelled_head_is_skipped_by_run_until(self, engine):
+        fired = []
+        engine.schedule(1.0, lambda: fired.append("head")).cancel()
+        engine.schedule(3.0, lambda: fired.append("late"))
+        assert engine.run_until(2.0) == 0
+        assert fired == [] and engine.now == 2.0
+        assert engine.run_until(3.0) == 1
+        assert fired == ["late"]
+
+    def test_pending_excludes_cancelled_and_handle_time(self, engine):
+        engine.run_until(0.5)
+        handles = [engine.schedule(delay, lambda: None) for delay in (1.0, 2.0, 0.25)]
+        assert [h.time for h in handles] == [1.5, 2.5, 0.75]
+        assert engine.pending() == 3
+        handles[0].cancel()
+        handles[0].cancel()  # idempotent
+        assert engine.pending() == 2
+        assert handles[0].time == 1.5  # a cancelled handle keeps its time
+        assert engine.run() == 2
+
+    def test_periodic_series_stops_on_cancel(self, engine):
+        ticks = []
+        series = engine.schedule_periodic(1.0, lambda: ticks.append(engine.now))
+        assert series.time == 1.0
+        engine.run_until(2.5)
+        assert ticks == [1.0, 2.0]
+        assert series.time == 3.0  # the current arm
+        series.cancel()
+        assert engine.pending() == 0
+        engine.run_until(10.0)
+        assert ticks == [1.0, 2.0]
+
+    def test_periodic_series_cancelled_before_first_tick(self, engine):
+        ticks = []
+        engine.schedule_periodic(1.0, lambda: ticks.append(1)).cancel()
+        engine.run_until(5.0)
+        assert ticks == [] and engine.events_processed == 0
+
+
 class TestBackoffPolicy:
     def test_capped_exponential_without_jitter(self):
         from repro.netsim import BackoffPolicy

@@ -96,6 +96,123 @@ class TestLink:
         assert delivered_after_reseed(0) == delivered_after_reseed(23)
 
 
+#: Frame sizes the delivery tests mix: minimum, classic MTU, Ethernet MTU.
+SIZES = (46, 576, 1500)
+
+
+def tagged(index, src="10.0.0.1", dst="10.0.0.99"):
+    """A UDP frame of ``SIZES[index % 3]`` bytes whose payload starts with
+    *index*."""
+    size = SIZES[index % len(SIZES)]
+    return make_udp_v4(src, dst, payload=index.to_bytes(2, "big").ljust(size - 28, b"\0"))
+
+
+def tag_of(packet):
+    return int.from_bytes(bytes(packet.payload[:2]), "big")
+
+
+class TestLinkDelivery:
+    """A direction delivers the head of its in-flight FIFO on each
+    arrival event; these pin the behaviour that makes that sound."""
+
+    def test_arrival_order_is_send_order_per_direction(self):
+        topo = two_node_topo()
+        a, b = topo.node("a"), topo.node("b")
+        at_b, at_a = [], []
+        b.set_packet_handler(lambda p, port: at_b.append((tag_of(p), topo.engine.now)))
+        a.set_packet_handler(lambda p, port: at_a.append((tag_of(p), topo.engine.now)))
+        # Sends at staggered times, so some find the direction idle and
+        # some queue behind a long frame; both directions at once.
+        for i in range(30):
+            topo.engine.schedule_at(
+                0.004 * (i // 4),
+                lambda i=i: (a.send("eth0", tagged(i)), b.send("eth0", tagged(100 + i))),
+            )
+        topo.engine.run()
+        assert [tag for tag, _ in at_b] == list(range(30))
+        assert [tag for tag, _ in at_a] == list(range(100, 130))
+        for arrivals in (at_b, at_a):
+            times = [t for _, t in arrivals]
+            assert times == sorted(times)
+        for direction in ("a_to_b", "b_to_a"):
+            stats = topo.links[0].stats()[direction]
+            assert stats.sent == stats.delivered == 30
+
+    def test_partition_drops_exactly_the_frames_in_flight(self):
+        from repro.netsim import WirePacket
+        from repro.osbase import BufferPool
+
+        topo = two_node_topo()
+        a, b = topo.node("a"), topo.node("b")
+        link = topo.links[0]
+        pool = BufferPool(2048, 16)
+        received = []
+
+        def consume(packet, port):
+            received.append((tag_of(packet), topo.engine.now))
+            packet.release()
+
+        b.set_packet_handler(consume)
+        for i in range(9):
+            a.send("eth0", WirePacket.from_packet(tagged(i), pool=pool))
+        # Back to back at 1 Mbps plus 10 ms propagation.
+        arrivals, busy = [], 0.0
+        for i in range(9):
+            busy += SIZES[i % 3] * 8 / 1e6
+            arrivals.append(busy + 0.01)
+        cut = (arrivals[3] + arrivals[4]) / 2
+        topo.engine.schedule_at(cut, link.partition)
+        topo.engine.run()
+        assert [tag for tag, _ in received] == [0, 1, 2, 3]
+        assert [t for _, t in received] == pytest.approx(arrivals[:4])
+        stats = link.stats()["a_to_b"]
+        assert (stats.sent, stats.delivered, stats.dropped_down) == (9, 4, 5)
+        assert link.direction_from(a).in_flight == 0
+        assert pool.acquired_total == pool.released_total == 9
+        assert pool.in_flight == 0
+
+    def test_seeded_loss_pattern_is_pinned(self):
+        # The frame indices this seed loses, recorded before links
+        # delivered through a per-direction FIFO: the loss process must
+        # draw exactly as it always has.
+        topo = two_node_topo(loss_rate=0.3, seed=11)
+        received = []
+        topo.node("b").set_packet_handler(lambda p, port: received.append(tag_of(p)))
+        for i in range(40):
+            topo.node("a").send("eth0", tagged(i))
+        topo.engine.run()
+        lost = sorted(set(range(40)) - set(received))
+        assert lost == [4, 7, 9, 13, 18, 21, 29, 36]
+        assert received == sorted(received)
+        stats = topo.links[0].stats()["a_to_b"]
+        assert (stats.sent, stats.lost, stats.delivered) == (40, 8, 32)
+
+    def test_in_flight_counts_and_returns_to_zero(self):
+        topo = two_node_topo()
+        a = topo.node("a")
+        direction = topo.links[0].direction_from(a)
+        assert direction.in_flight == 0
+        for i in range(5):
+            a.send("eth0", tagged(i))
+        assert direction.in_flight == 5
+        topo.engine.step()
+        assert direction.in_flight == 4
+        topo.engine.run()
+        assert direction.in_flight == 0
+        assert topo.links[0].direction_from(topo.node("b")).in_flight == 0
+
+    def test_backlog_bound_counts_frames_in_flight(self):
+        topo = two_node_topo(max_backlog=3)
+        a = topo.node("a")
+        for i in range(5):
+            a.send("eth0", tagged(i))
+        topo.engine.step()  # one arrives: room for exactly one more
+        a.send("eth0", tagged(5))
+        a.send("eth0", tagged(6))
+        stats = topo.links[0].stats()["a_to_b"]
+        assert (stats.sent, stats.dropped_backlog) == (4, 3)
+
+
 class TestPartition:
     def test_partition_blackholes_without_sender_feedback(self):
         topo = two_node_topo()
@@ -206,6 +323,30 @@ class TestNode:
         assert n1.port_to("n2") == "eth1"
         with pytest.raises(NodeError, match="no link to"):
             n1.port_to("n99")
+        with pytest.raises(NodeError, match="no link to"):
+            n1.send_to_neighbor("n99", make_udp_v4("10.0.0.1", "10.0.0.99"))
+        with pytest.raises(NodeError, match="no link to"):
+            n1.port_to("n1")  # a node is not its own neighbour
+
+    def test_two_links_to_one_neighbour_use_the_first(self):
+        topo = Topology()
+        topo.add_node("a")
+        topo.add_node("b")
+        topo.add_node("c")
+        topo.connect("a", "c")
+        first = topo.connect("a", "b")
+        second = topo.connect("a", "b")
+        a = topo.node("a")
+        assert a.port_to("b") == "eth1"
+        assert a.port_to("c") == "eth0"
+        assert topo.node("b").port_to("a") == "eth0"
+        got = []
+        topo.node("b").set_packet_handler(lambda p, port: got.append(port))
+        assert a.send_to_neighbor("b", make_udp_v4("10.0.0.1", "10.0.0.99"))
+        topo.engine.run()
+        assert got == ["eth0"]
+        assert first.stats()["a_to_b"].sent == 1
+        assert second.stats()["a_to_b"].sent == 0
 
     def test_unknown_port(self):
         topo = two_node_topo()

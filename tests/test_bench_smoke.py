@@ -21,6 +21,7 @@ Also covers the harness's own gate: every ``bench_*.py`` must carry the
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -121,6 +122,21 @@ def test_every_benchmark_carries_the_bench_marker():
     benches = sorted((REPO_ROOT / "benchmarks").glob("bench_*.py"))
     assert benches, "no benchmark files found"
     assert run_all.missing_bench_markers(benches) == []
+
+
+def test_child_runs_find_src_without_any_env(monkeypatch):
+    # Every child pytest (benchmarks and property suites alike) gets the
+    # repo's src/ first on PYTHONPATH, so run_all.py works from the repo
+    # root with nothing exported.
+    run_all = _load_run_all()
+    src = str(REPO_ROOT / "src")
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    assert run_all.subprocess_env()["PYTHONPATH"] == src
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    assert run_all.subprocess_env()["PYTHONPATH"].split(os.pathsep) == [
+        src,
+        "elsewhere",
+    ]
 
 
 def test_run_all_fails_loudly_on_unmarked_benchmark(tmp_path):
