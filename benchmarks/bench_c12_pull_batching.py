@@ -44,8 +44,9 @@ pytestmark = pytest.mark.bench
 BATCH_SIZES = (1, 8, 32, 128)
 HEADLINE_BATCH = 32
 CLASSES = ("expedited", "best-effort")
-#: Interleaved repeats, best elapsed wins (same rationale as C11).
-REPEATS = 3
+#: Interleaved repeats, best elapsed wins (same rationale as C11); one
+#: lap under smoke, which compares no timings.
+REPEATS = 1 if SMOKE else 3
 
 
 def _build_cf_pull(routes, *, fused):

@@ -43,7 +43,8 @@ pytestmark = pytest.mark.bench
 HEADLINE_BATCH = 32
 #: Interleaved repeats, best elapsed wins (same rationale as C11/C12);
 #: ledger deltas are deterministic, so the first repeat's counts are kept.
-REPEATS = 3
+#: One lap under smoke, which compares no timings.
+REPEATS = 1 if SMOKE else 3
 #: Wire buffers come from a real buffer-management pool so the experiment
 #: also exercises pool accounting (one acquire per packet, zero after).
 BUFFER_SIZE = 128

@@ -774,12 +774,9 @@ class ShardedDatapath:
         drained = shard.drain(self.batch)
         successor = pending["to"]
         self._redirect[dead] = successor
-        parked = self._parked.pop(dead, [])
-        # Ring overflow / pool backpressure at the successor refuses a
-        # frame that was never materialised into a pooled buffer, so
-        # refusing it here cannot leak (same as any NIC drop).
-        flushed = self.shards[successor].nic.receive_batch(parked)
-        refused = len(parked) - flushed
+        flushed, refused = self._flush_parked(
+            self._parked.pop(dead, []), self.shards[successor].nic.receive_frame
+        )
         pool = shard.pool
         pending["record"] = {
             "shard": dead,
@@ -811,10 +808,9 @@ class ShardedDatapath:
             self.recoveries.append(record)
         # Defensive: anything still parked (apply short-circuited without
         # raising) follows the redirect chain rather than vanishing.
-        leftovers = self._parked.pop(dead, None)
-        if leftovers:
-            for frame in leftovers:
-                self._ingress_slow(dead, frame)
+        self._flush_parked(
+            self._parked.pop(dead, []), lambda frame: self._ingress_slow(dead, frame)
+        )
 
     def _recovery_rollback(self, params: dict) -> None:
         """Abort-side undo: unpark everything back onto the dead shard's
@@ -827,7 +823,7 @@ class ShardedDatapath:
         if self._redirect.get(dead) == pending["to"]:
             del self._redirect[dead]
         dead_shard = self.shards[dead]
-        dead_shard.nic.receive_batch(self._parked.pop(dead, []))
+        self._flush_parked(self._parked.pop(dead, []), dead_shard.nic.receive_frame)
         # The shard stays in service after an aborted recovery: rebuild
         # its compiled hot path (quiesce tore it down).
         if dead_shard.recompile is not None:
@@ -1081,22 +1077,11 @@ class ShardedDatapath:
         #    home in arrival order — each flow's parked frames live in
         #    exactly one park list, so they land contiguously and in
         #    order on their (single) new home.
-        flushed = refused = 0
-        for _, frames in sorted(self._parked.items()):
-            for frame in frames:
-                target = self.steering.table[self.steering.bucket_of(frame)]
-                try:
-                    accepted = self.shards[target].nic.receive_frame(frame)
-                except ResourceError:
-                    # A raise-policy pool exhausting mid-flush must not
-                    # abort a committed resize half way: the frame was
-                    # never materialised into a pooled buffer, so
-                    # refusing it here cannot leak (same as any NIC drop).
-                    accepted = False
-                if accepted:
-                    flushed += 1
-                else:
-                    refused += 1
+        table, bucket_of = self.steering.table, self.steering.bucket_of
+        flushed, refused = self._flush_parked(
+            [frame for _, frames in sorted(self._parked.items()) for frame in frames],
+            lambda frame: self.shards[table[bucket_of(frame)]].nic.receive_frame(frame),
+        )
         self._parked.clear()
         pending["record"] = {
             "from": old_n,
@@ -1155,7 +1140,34 @@ class ShardedDatapath:
         for index in sorted(self._parked):
             frames = self._parked.pop(index)
             if 0 <= index < len(self.shards):
-                self.shards[index].nic.receive_batch(frames)
+                self._flush_parked(frames, self.shards[index].nic.receive_frame)
+
+    @staticmethod
+    def _flush_parked(
+        frames: list, deliver: Callable[[Any], bool]
+    ) -> tuple[int, int]:
+        """Deliver parked frames one by one in arrival order; returns
+        ``(flushed, refused)``.
+
+        Every round flushes through here, past its commit point or in
+        rollback, where nothing may unwind half way.  So a refusal — ring
+        overflow, pool backpressure, or a ``raise``-policy pool running
+        dry (``ResourceError``) — is counted, never raised, and the
+        frames after it are still offered.  A parked frame was never
+        materialised into a pooled buffer, so refusing it cannot leak
+        (same as any NIC drop).
+        """
+        flushed = refused = 0
+        for frame in frames:
+            try:
+                accepted = deliver(frame)
+            except ResourceError:
+                accepted = False
+            if accepted:
+                flushed += 1
+            else:
+                refused += 1
+        return flushed, refused
 
     def resize(self, n: int) -> dict:
         """Run the whole elastic resize locally (no coordination

@@ -32,7 +32,7 @@ from typing import Any
 from repro.netsim.packet import Packet
 from repro.opencom.capsule import Capsule
 from repro.opencom.component import Component, Provided
-from repro.router.components.base import PacketComponent
+from repro.router.components.base import PushTarget
 from repro.router.interfaces import IPacketPush
 from repro.router.components.classifier import Classifier
 from repro.router.components.scheduling import DrrScheduler
@@ -40,7 +40,7 @@ from repro.router.pipeline import RouterPipeline
 from repro.router.router_cf import RouterCF
 
 
-class InjectorSink(PacketComponent):
+class InjectorSink(PushTarget):
     """Terminal push component: serialise packets and hand the wire bytes
     to an inject callable (typically ``ShardedDatapath.steer_batch``).
 
@@ -54,9 +54,6 @@ class InjectorSink(PacketComponent):
     def __init__(self, inject: Callable[[list[bytes]], int]) -> None:
         super().__init__()
         self.inject = inject
-
-    def push(self, packet: Packet) -> None:
-        self.push_batch([packet])
 
     def push_batch(self, packets: list[Packet]) -> None:
         self.count("rx", len(packets))

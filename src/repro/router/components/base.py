@@ -10,11 +10,16 @@ Conventions used throughout the stratum-2 component library:
   emitted, per-reason drops) so experiments read consistent statistics;
 - drops are never silent: they are counted, and optionally handed to a
   dead-letter connection named ``drop`` when one is bound;
-- every push-style component also accepts *batches*: ``push_batch(list)``
-  must be observationally equivalent to calling ``push`` once per element
-  (same counter totals, same per-connection emission order) while
-  amortising per-call dispatch cost.  See :meth:`PushComponent.push_batch`
-  for the exact protocol.
+- **one body per component.**  A push component writes either
+  ``process`` (per-packet logic that :class:`PushComponent` batches) or
+  ``push_batch``, never both; scalar ``push(p)`` is ``push_batch([p])``,
+  inherited from :class:`PushTarget`.  A pull provider writes
+  ``pull_batch``; the link schedulers' scalar ``pull()`` is the first
+  item of ``pull_batch(1)``.  The one exception is
+  :class:`DequeSource`, whose ``pull`` stays a direct ``popleft``
+  because DRR/WFQ refill their heads through it once per packet.  So
+  scalar ≡ batch holds by construction; see
+  :meth:`PushComponent.push_batch` for the batch protocol.
 """
 
 from __future__ import annotations
@@ -29,22 +34,7 @@ from repro.opencom.errors import ReceptacleError
 # feeds (the NIC and the netsim link/node edge call it too); re-exported
 # here because every stratum-2 component drops through it.
 from repro.osbase.buffers import release_dropped  # noqa: F401 (re-export)
-from repro.router.interfaces import IPacketPush
-
-
-def bulk_dequeue(queue: deque, max_n: int) -> list:
-    """Pop up to *max_n* items off the head of *queue*, in order.
-
-    The shared body of every native ``pull_batch``: identical to *max_n*
-    ``popleft()`` calls with the length probe and bound-method lookup paid
-    once.  Callers own the counter bookkeeping (bump ``tx`` by the length
-    of the returned list to match the scalar ``pull`` contract).
-    """
-    n = min(max_n, len(queue))
-    if n <= 0:
-        return []
-    popleft = queue.popleft
-    return [popleft() for _ in range(n)]
+from repro.router.interfaces import IPacketPull, IPacketPush
 
 
 class PacketComponent(Component):
@@ -63,13 +53,26 @@ class PacketComponent(Component):
         return dict(self.counters)
 
 
-class PushComponent(PacketComponent):
+class PushTarget(PacketComponent):
+    """Base for every ``IPacketPush`` provider: its one body is
+    ``push_batch``, and :meth:`push` — defined here, once — hands it a
+    batch of one.  Subclasses never write a scalar ``push``."""
+
+    def push(self, packet: Packet) -> None:
+        """IPacketPush entry point: a batch of one."""
+        self.push_batch([packet])
+
+
+class PushComponent(PushTarget):
     """Base for push-style processors: ``in0`` in, ``out`` fan-out.
 
-    Subclasses implement :meth:`process`; the default :meth:`push` counts
-    the packet and delegates.  :meth:`emit` routes to a named outgoing
-    connection (or the sole connection when unambiguous), counting drops
-    when the requested connection is unbound.
+    One body per component: a subclass writes either ``process(packet)``
+    (per-packet logic; the inherited :meth:`push_batch` loops it) or its
+    own :meth:`push_batch`, never both.  Scalar ``push`` is a batch of
+    one (:class:`PushTarget`), so scalar ≡ batch holds by construction.
+    :meth:`emit` routes to a named outgoing connection (or the sole
+    connection when unambiguous), counting drops when the requested
+    connection is unbound.
     """
 
     PROVIDES = (Provided("in0", IPacketPush),)
@@ -77,18 +80,14 @@ class PushComponent(PacketComponent):
         Required("out", IPacketPush, min_connections=0, max_connections=None),
     )
 
-    def push(self, packet: Packet) -> None:
-        """IPacketPush entry point."""
-        self.count("rx")
-        self.process(packet)
-
     def push_batch(self, packets: list[Packet]) -> None:
         """Batch IPacketPush entry point: process a whole list of packets.
 
         Protocol (the contract every override must honour):
 
-        - counter totals after ``push_batch(pkts)`` equal those after
-          ``for p in pkts: push(p)``;
+        - counter totals after ``push_batch(a + b)`` equal those after
+          ``push_batch(a); push_batch(b)`` — so also those after
+          ``for p in pkts: push(p)``, each ``push`` being a batch of one;
         - packets forwarded on any one outgoing connection leave in their
           arrival order (per-connection FIFO).  A batching component *may*
           group packets per connection, so the interleaving *across*
@@ -96,21 +95,18 @@ class PushComponent(PacketComponent):
           operation — exactly like a fan-out NIC queue;
         - interception is the vtable's concern, not the component's: when
           an interceptor sits on the ``in0`` slot the vtable delivers the
-          batch item-by-item through the interposed closure and this method
-          is bypassed entirely.
+          batch item-by-item through the interposed closure, each item one
+          ``push`` and so a batch of one.
 
-        The default loops :meth:`process`; subclasses override it to
-        amortise per-call work (bulk queue appends, grouped emission,
-        shared lookups).
+        The default loops the subclass's ``process(packet)``; a subclass
+        that amortises per-call work (bulk queue appends, grouped
+        emission, shared lookups) overrides this instead and writes no
+        ``process``.
         """
         self.count("rx", len(packets))
         process = self.process
         for packet in packets:
             process(packet)
-
-    def process(self, packet: Packet) -> None:
-        """Subclass hook: handle one packet (default: pass through)."""
-        self.emit(packet)
 
     def emit(self, packet: Packet, connection: str | None = None) -> bool:
         """Send *packet* on the named outgoing connection.
@@ -177,3 +173,44 @@ class PushComponent(PacketComponent):
     def output_names(self) -> list[str]:
         """Names of currently bound outgoing connections."""
         return self.receptacle("out").connection_names()
+
+
+class DequeSource(PacketComponent):
+    """Base for ``IPacketPull`` providers serving a FIFO deque
+    (``_queue``): the queues and the test feeder share this one
+    ``pull``/``pull_batch`` pair.
+
+    ``pull`` stays a direct ``popleft`` rather than ``pull_batch(1)``:
+    DRR/WFQ refill a head through it once per packet.
+    ``pull_batch(n)`` is exactly *n* ``pull()`` calls (same order, same
+    ``tx`` total, same residual depth) with the per-packet dispatch and
+    counter cost paid once.
+    """
+
+    PROVIDES = (Provided("pull0", IPacketPull),)
+
+    def __init__(self, packets: list[Packet] | None = None) -> None:
+        super().__init__()
+        self._queue: deque[Packet] = deque(packets or [])
+
+    def pull(self) -> Packet | None:
+        """Dequeue the head packet (None when empty)."""
+        if not self._queue:
+            return None
+        self.count("tx")
+        return self._queue.popleft()
+
+    def pull_batch(self, max_n: int) -> list[Packet]:
+        """Dequeue up to *max_n* head packets in one call."""
+        queue = self._queue
+        n = min(max_n, len(queue))
+        if n <= 0:
+            return []
+        self.count("tx", n)
+        popleft = queue.popleft
+        return [popleft() for _ in range(n)]
+
+    @property
+    def depth(self) -> int:
+        """Packets currently queued."""
+        return len(self._queue)

@@ -55,22 +55,6 @@ class Classifier(PushComponent):
 
     # -- data path ------------------------------------------------------------------
 
-    def process(self, packet: Packet) -> None:
-        """Classify and emit on the winning filter's output."""
-        spec = self.table.classify(packet)
-        if spec is not None:
-            packet.metadata["class"] = spec.output
-            self.count(f"class:{spec.output}")
-            self.emit(packet, spec.output)
-            return
-        if self.default_output is not None:
-            packet.metadata["class"] = self.default_output
-            self.count(f"class:{self.default_output}")
-            self.emit(packet, self.default_output)
-            return
-        self.count("drop:unclassified")
-        release_dropped(packet)
-
     def push_batch(self, packets: list[Packet]) -> None:
         """Classify per packet, emit one grouped batch per output class.
 

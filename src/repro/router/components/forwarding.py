@@ -267,19 +267,6 @@ class Forwarder(PushComponent):
         """Install many routes."""
         self.table.load(routes)
 
-    def process(self, packet: Packet) -> None:
-        """Resolve the next hop and emit on its named connection."""
-        next_hop = self.table.lookup_cached(packet.net.dst, version=packet.version)
-        if next_hop is None:
-            next_hop = self.default_route
-        if next_hop is None:
-            self.count("drop:no-route-entry")
-            release_dropped(packet)
-            return
-        packet.metadata["next_hop"] = next_hop
-        self.count(f"hop:{next_hop}")
-        self.emit(packet, next_hop)
-
     def push_batch(self, packets: list[Packet]) -> None:
         """Resolve per packet, emit one grouped batch per next hop."""
         self.count("rx", len(packets))

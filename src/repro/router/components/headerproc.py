@@ -32,18 +32,6 @@ class ProtocolRecognizer(PushComponent):
     OUT_V4 = "ipv4"
     OUT_V6 = "ipv6"
 
-    def process(self, packet: Packet) -> None:
-        """Dispatch by IP version."""
-        if isinstance(packet.net, IPv4Header):
-            self.count("v4")
-            self.emit(packet, self.OUT_V4)
-        elif isinstance(packet.net, IPv6Header):
-            self.count("v6")
-            self.emit(packet, self.OUT_V6)
-        else:
-            self.count("drop:unknown-version")
-            release_dropped(packet)
-
     def push_batch(self, packets: list[Packet]) -> None:
         """Partition the batch by IP version and emit each family once."""
         self.count("rx", len(packets))
@@ -130,15 +118,6 @@ class ChecksumValidator(PushComponent):
     computation per packet.
     """
 
-    def process(self, packet: Packet) -> None:
-        """Verify and forward or drop."""
-        if isinstance(packet.net, IPv4Header) and not packet.net.checksum_ok():
-            self.count("drop:bad-checksum")
-            release_dropped(packet)
-            return
-        self.count("ok")
-        self.emit(packet)
-
     def push_batch(self, packets: list[Packet]) -> None:
         """Verify per packet, emit the survivors as one batch."""
         self.count("rx", len(packets))
@@ -169,29 +148,9 @@ class IPv4HeaderProcessor(PushComponent):
         super().__init__()
         self.validate_checksum = validate_checksum
 
-    def process(self, packet: Packet) -> None:
-        """Validate, age, and forward one IPv4 packet."""
-        net = packet.net
-        if not isinstance(net, IPv4Header):
-            self.count("drop:not-ipv4")
-            release_dropped(packet)
-            return
-        if self.validate_checksum and not net.checksum_ok():
-            self.count("drop:bad-checksum")
-            release_dropped(packet)
-            return
-        # decrement_ttl is polymorphic byte handling: full checksum
-        # recomputation on materialised headers, in-place RFC 1624
-        # incremental update on wire-resident views.
-        if not net.decrement_ttl():
-            self.count("drop:ttl-expired")
-            release_dropped(packet)
-            return
-        self.count("forwarded")
-        self.emit(packet)
-
     def push_batch(self, packets: list[Packet]) -> None:
-        """Header work stays per-packet; dispatch and emission amortise."""
+        """Validate, age and forward: header work stays per packet;
+        dispatch and emission amortise."""
         self.count("rx", len(packets))
         counters = self.counters
         validate = self.validate_checksum
@@ -206,6 +165,9 @@ class IPv4HeaderProcessor(PushComponent):
                 counters["drop:bad-checksum"] += 1
                 release_dropped(packet)
                 continue
+            # decrement_ttl is polymorphic byte handling: full checksum
+            # recomputation on materialised headers, in-place RFC 1624
+            # incremental update on wire-resident views.
             if not net.decrement_ttl():
                 counters["drop:ttl-expired"] += 1
                 release_dropped(packet)
@@ -313,20 +275,6 @@ class IPv4HeaderProcessor(PushComponent):
 
 class IPv6HeaderProcessor(PushComponent):
     """IPv6 forwarding-path header handling (hop-limit decrement)."""
-
-    def process(self, packet: Packet) -> None:
-        """Age and forward one IPv6 packet."""
-        net = packet.net
-        if not isinstance(net, IPv6Header):
-            self.count("drop:not-ipv6")
-            release_dropped(packet)
-            return
-        if not net.decrement_hop_limit():
-            self.count("drop:hop-limit-expired")
-            release_dropped(packet)
-            return
-        self.count("forwarded")
-        self.emit(packet)
 
     def push_batch(self, packets: list[Packet]) -> None:
         """Hop-limit work per packet, one emission for the survivors."""

@@ -13,12 +13,12 @@ from repro.netsim.packet import Packet
 from repro.opencom.component import Provided
 from repro.osbase.clock import VirtualClock
 from repro.router.components.base import (
-    PacketComponent,
+    DequeSource,
     PushComponent,
-    bulk_dequeue,
+    PushTarget,
     release_dropped,
 )
-from repro.router.interfaces import IPacketPull, IPacketSink
+from repro.router.interfaces import IPacketSink
 
 
 class PacketCounterTap(PushComponent):
@@ -27,11 +27,6 @@ class PacketCounterTap(PushComponent):
     def __init__(self) -> None:
         super().__init__()
         self.bytes_seen = 0
-
-    def process(self, packet: Packet) -> None:
-        """Count and forward."""
-        self.bytes_seen += packet.size_bytes
-        self.emit(packet)
 
     def push_batch(self, packets: list[Packet]) -> None:
         """Count the batch and forward it whole."""
@@ -68,7 +63,7 @@ class RateMeter(PushComponent):
         return sum(size for _, size in self._events) * 8 / self.window_s
 
 
-class CollectorSink(PacketComponent):
+class CollectorSink(PushTarget):
     """Terminal sink retaining (optionally bounded) delivered packets.
 
     A sink is the last holder of each packet's buffer reference, so a
@@ -86,15 +81,6 @@ class CollectorSink(PacketComponent):
         self.recycle = recycle
         self.packets: list[Packet] = []
         self.bytes_received = 0
-
-    def push(self, packet: Packet) -> None:
-        """Absorb one packet."""
-        self.count("rx")
-        self.bytes_received += packet.size_bytes
-        if not self.recycle and (self.keep is None or len(self.packets) < self.keep):
-            self.packets.append(packet)
-        else:
-            release_dropped(packet)
 
     def push_batch(self, packets: list[Packet]) -> None:
         """Absorb a whole batch (bulk extend, bounded by ``keep``)."""
@@ -123,18 +109,14 @@ class CollectorSink(PacketComponent):
         self.bytes_received = 0
 
 
-class DropSink(PacketComponent):
+class DropSink(PushTarget):
     """Terminal sink that discards everything (but counts it)."""
 
     PROVIDES = (Provided("in0", IPacketSink),)
 
-    def push(self, packet: Packet) -> None:
-        """Discard one packet (returning any pooled wire buffer)."""
-        self.count("rx")
-        release_dropped(packet)
-
     def push_batch(self, packets: list[Packet]) -> None:
-        """Discard a whole batch (one counter bump)."""
+        """Discard a whole batch (one counter bump), returning any pooled
+        wire buffers."""
         self.count("rx", len(packets))
         for packet in packets:
             release_dropped(packet)
@@ -144,36 +126,10 @@ class DropSink(PacketComponent):
         return self.counters["rx"]
 
 
-class PullSource(PacketComponent):
+class PullSource(DequeSource):
     """IPacketPull provider over a pre-loaded packet list (test feeder for
     pull-side components such as link schedulers)."""
-
-    PROVIDES = (Provided("pull0", IPacketPull),)
-
-    def __init__(self, packets: list[Packet] | None = None) -> None:
-        super().__init__()
-        self._queue: deque[Packet] = deque(packets or [])
 
     def load(self, packets: list[Packet]) -> None:
         """Append packets to the feed."""
         self._queue.extend(packets)
-
-    def pull(self) -> Packet | None:
-        """Hand out the next packet."""
-        if not self._queue:
-            return None
-        self.count("tx")
-        return self._queue.popleft()
-
-    def pull_batch(self, max_n: int) -> list[Packet]:
-        """Hand out up to *max_n* packets in one call (bulk feed,
-        equivalent to repeated ``pull()``)."""
-        got = bulk_dequeue(self._queue, max_n)
-        if got:
-            self.count("tx", len(got))
-        return got
-
-    @property
-    def remaining(self) -> int:
-        """Packets still queued."""
-        return len(self._queue)

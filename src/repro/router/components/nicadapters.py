@@ -121,8 +121,8 @@ class TransmitAdapter(PushComponent):
     """Terminal egress closing the buffer lifecycle through a NIC.
 
     The push side queues packets on the bound NIC's TX ring
-    (:meth:`process` → ``nic.transmit``; ring-full drops are counted and
-    released by the NIC itself).  The wire side — :meth:`drain_wire` —
+    (:meth:`push_batch` → ``nic.transmit``; ring-full drops are counted
+    and released by the NIC itself).  The wire side — :meth:`drain_wire` —
     pops transmitted frames off the ring and releases their pooled
     buffers (or hands them to an explicit consumer such as a link), which
     is what lets a warm router recycle the same buffers indefinitely:
@@ -143,21 +143,10 @@ class TransmitAdapter(PushComponent):
         """The bound TX NIC."""
         return self._nic
 
-    def process(self, packet: Packet) -> None:
-        """Queue one packet on the TX ring; ``drop:tx-full`` on overflow
-        (the NIC released the buffer — transmit owns the packet)."""
-        if self._nic is None:
-            self.count("drop:unplumbed")
-            release_dropped(packet)
-            return
-        if self._nic.transmit(packet):
-            self.count("tx")
-        else:
-            self.count("drop:tx-full")
-
     def push_batch(self, packets: list[Packet]) -> None:
-        """Batch entry: one counter probe, then per-packet ring appends
-        (the ring must keep exact drop-tail semantics)."""
+        """Queue packets on the TX ring, one ring append each (the ring
+        keeps exact drop-tail semantics); ``drop:tx-full`` on overflow
+        (the NIC released the buffer — transmit owns the packet)."""
         self.count("rx", len(packets))
         nic = self._nic
         if nic is None:

@@ -9,19 +9,14 @@ standard EWMA average-queue estimator).
 from __future__ import annotations
 
 import random
-from collections import deque
 
 from repro.netsim.packet import Packet
 from repro.opencom.component import Provided
-from repro.router.components.base import (
-    PacketComponent,
-    bulk_dequeue,
-    release_dropped,
-)
+from repro.router.components.base import DequeSource, PushTarget, release_dropped
 from repro.router.interfaces import IPacketPull, IPacketPush
 
 
-class FifoQueue(PacketComponent):
+class FifoQueue(PushTarget, DequeSource):
     """Bounded drop-tail FIFO queue."""
 
     PROVIDES = (
@@ -36,16 +31,6 @@ class FifoQueue(PacketComponent):
     def __init__(self, capacity: int = 128) -> None:
         super().__init__()
         self.capacity = capacity
-        self._queue: deque[Packet] = deque()
-
-    def push(self, packet: Packet) -> None:
-        """Enqueue; drop-tail when full (``drop:overflow``)."""
-        self.count("rx")
-        if len(self._queue) >= self.capacity:
-            self.count("drop:overflow")
-            release_dropped(packet)
-            return
-        self._queue.append(packet)
 
     def push_batch(self, packets: list[Packet]) -> None:
         """Bulk enqueue with exact drop-tail semantics: the packets that
@@ -66,25 +51,6 @@ class FifoQueue(PacketComponent):
             overflowed = packets
         for packet in overflowed:
             release_dropped(packet)
-
-    def pull(self) -> Packet | None:
-        """Dequeue the head packet (None when empty)."""
-        if not self._queue:
-            return None
-        self.count("tx")
-        return self._queue.popleft()
-
-    def pull_batch(self, max_n: int) -> list[Packet]:
-        """Bulk dequeue up to *max_n* head packets in one call.
-
-        Exactly equivalent to *max_n* ``pull()`` calls (same order, same
-        ``tx`` total, same residual depth) with the per-packet dispatch
-        and counter cost paid once.
-        """
-        got = bulk_dequeue(self._queue, max_n)
-        if got:
-            self.count("tx", len(got))
-        return got
 
     # -- compiled hot path (see repro.opencom.compile) ---------------------
 
@@ -119,17 +85,12 @@ class FifoQueue(PacketComponent):
         return kernel
 
     @property
-    def depth(self) -> int:
-        """Packets currently queued."""
-        return len(self._queue)
-
-    @property
     def backlog_bytes(self) -> int:
         """Bytes currently queued."""
         return sum(p.size_bytes for p in self._queue)
 
 
-class RedQueue(PacketComponent):
+class RedQueue(PushTarget, DequeSource):
     """Random Early Detection queue (Floyd & Jacobson).
 
     Maintains an EWMA of queue depth; drops probabilistically between
@@ -162,59 +123,34 @@ class RedQueue(PacketComponent):
         self.max_threshold = max_threshold
         self.max_drop_probability = max_drop_probability
         self.weight = weight
-        self._queue: deque[Packet] = deque()
         self._avg = 0.0
         self._rng = random.Random(seed)
 
-    def push(self, packet: Packet) -> None:
-        """Enqueue with RED early-drop behaviour."""
-        self.count("rx")
-        self._avg = (1 - self.weight) * self._avg + self.weight * len(self._queue)
-        if len(self._queue) >= self.capacity:
-            self.count("drop:overflow")
-            release_dropped(packet)
-            return
-        if self._avg >= self.max_threshold:
-            self.count("drop:red-forced")
-            release_dropped(packet)
-            return
-        if self._avg > self.min_threshold:
-            fraction = (self._avg - self.min_threshold) / (
-                self.max_threshold - self.min_threshold
-            )
-            if self._rng.random() < fraction * self.max_drop_probability:
-                self.count("drop:red-early")
-                release_dropped(packet)
-                return
-        self._queue.append(packet)
-
     def push_batch(self, packets: list[Packet]) -> None:
-        """Per-packet RED admission (the EWMA advances on every arrival,
-        so batches cannot be bulk-admitted without changing drop maths)."""
-        push = self.push
+        """Enqueue with RED early-drop behaviour, one arrival at a time:
+        the EWMA advances on every arrival, so a batch cannot be
+        bulk-admitted without changing the drop maths.  (RED gates only
+        admission; the service side is the plain FIFO of
+        :class:`DequeSource`.)"""
+        self.count("rx", len(packets))
+        queue = self._queue
         for packet in packets:
-            push(packet)
-
-    def pull(self) -> Packet | None:
-        """Dequeue the head packet (None when empty)."""
-        if not self._queue:
-            return None
-        self.count("tx")
-        return self._queue.popleft()
-
-    def pull_batch(self, max_n: int) -> list[Packet]:
-        """Bulk dequeue up to *max_n* head packets (RED only gates
-        *admission*; the service side is a plain FIFO, so bulk dequeue is
-        exactly equivalent to repeated ``pull()``)."""
-        got = bulk_dequeue(self._queue, max_n)
-        if got:
-            self.count("tx", len(got))
-        return got
-
-    @property
-    def depth(self) -> int:
-        """Packets currently queued."""
-        return len(self._queue)
+            self._avg = (1 - self.weight) * self._avg + self.weight * len(queue)
+            if len(queue) >= self.capacity:
+                reason = "drop:overflow"
+            elif self._avg >= self.max_threshold:
+                reason = "drop:red-forced"
+            elif self._avg > self.min_threshold and self._rng.random() < (
+                (self._avg - self.min_threshold)
+                / (self.max_threshold - self.min_threshold)
+                * self.max_drop_probability
+            ):
+                reason = "drop:red-early"
+            else:
+                queue.append(packet)
+                continue
+            self.count(reason)
+            release_dropped(packet)
 
     @property
     def average_depth(self) -> float:

@@ -18,9 +18,11 @@ priority drains whole runs per input via the queues' port-level
 ``pull_batch`` handles; DRR/WFQ serve whole rounds with per-round quanta)
 and hands the serviced list downstream as one ``push_batch``, so the
 queue→scheduler and scheduler→NIC crossings are paid once per budget
-rather than once per packet.  Every ``pull_batch`` is observationally
-equivalent to repeated ``pull()``: identical packet order, identical
-per-input ``served:*`` counters, identical residual queue depths.
+rather than once per packet.  Each discipline writes one body,
+``pull_batch``; scalar ``pull()`` is the first item of ``pull_batch(1)``.
+``pull_batch(a + b)`` draws what ``pull_batch(a)`` then
+``pull_batch(b)`` would: identical packet order, identical per-input
+``served:*`` counters, identical residual queue depths.
 """
 
 from __future__ import annotations
@@ -32,7 +34,17 @@ from repro.router.interfaces import IPacketPull, IPacketPush
 
 
 class LinkSchedulerBase(PacketComponent):
-    """Common plumbing: pull-from-inputs, push-to-out, service loop."""
+    """Common plumbing: pull-from-inputs, push-to-out, service loop.
+
+    A discipline writes one body, ``pull_batch(max_n)``: draw up to
+    *max_n* packets across all inputs in scheduling order.  It returns
+    fewer than *max_n* — an empty list included — only when every input
+    is genuinely empty; an input that merely cannot be served *yet*
+    (e.g. a DRR deficit still building) is skipped explicitly, never
+    reported as exhaustion.  :meth:`service` relies on this: a short
+    batch ends the service round, so a transient one would strand
+    packets in other inputs.
+    """
 
     PROVIDES = (Provided("pull0", IPacketPull),)
     RECEPTACLES = (
@@ -41,39 +53,16 @@ class LinkSchedulerBase(PacketComponent):
     )
 
     def pull(self) -> Packet | None:
-        """Select and return the next packet across all inputs.
-
-        Must return ``None`` only when every input is genuinely empty —
-        an input that merely cannot be served *yet* (e.g. a DRR deficit
-        still building) is skipped explicitly, never reported as
-        exhaustion.  :meth:`service` relies on this: a ``None`` ends the
-        service round, so a transient ``None`` would strand packets in
-        other inputs.
-        """
-        raise NotImplementedError
-
-    def pull_batch(self, max_n: int) -> list[Packet]:
-        """Draw up to *max_n* packets in scheduling order as one batch.
-
-        Base implementation: a collect loop over :meth:`pull`.
-        Disciplines override it to amortise per-packet work (bulk input
-        drains, hoisted ring/deficit state) while preserving exact
-        ``pull()``-loop equivalence.
-        """
-        out: list[Packet] = []
-        pull = self.pull
-        while len(out) < max_n:
-            packet = pull()
-            if packet is None:
-                break
-            out.append(packet)
-        return out
+        """The next packet across all inputs: the first item of
+        ``pull_batch(1)``, or ``None`` when every input is empty."""
+        got = self.pull_batch(1)
+        return got[0] if got else None
 
     def service(self, budget: int = 1) -> int:
         """Pull up to *budget* packets and push them to ``out``.
 
         Returns the number of packets actually serviced; stops only when
-        every input is empty (see :meth:`pull`).  The whole budget is
+        every input is empty (see the class docstring).  The whole budget is
         drawn through :meth:`pull_batch` and leaves as one
         ``push_batch`` per service call (scheduling order preserved), so
         both the input and the output crossings are paid per budget, not
@@ -111,25 +100,15 @@ class PriorityLinkScheduler(LinkSchedulerBase):
         rest = sorted(n for n in names if n not in self.priorities)
         return listed + rest
 
-    def pull(self) -> Packet | None:
-        """Serve the highest-priority non-empty input."""
-        inputs = self.receptacle("inputs")
-        for name in self._ordered_inputs():
-            packet = inputs.port(name).pull()
-            if packet is not None:
-                self.count(f"served:{name}")
-                return packet
-        return None
-
     def pull_batch(self, max_n: int) -> list[Packet]:
         """Drain whole runs per input, highest priority first.
 
-        Equivalent to repeated ``pull()``: the scalar path rescans from
-        the top priority on every call, but within one batch (no pushes
-        interleave) an input that is empty stays empty, so draining each
-        input in priority order yields the identical packet sequence —
-        while the queue crossing is one ``pull_batch`` per input instead
-        of one ``pull`` per packet.
+        Equivalent to repeated ``pull()``: each scalar pull rescans from
+        the top priority, but within one batch (no pushes interleave) an
+        input that is empty stays empty, so draining each input in
+        priority order yields the identical packet sequence — while the
+        queue crossing is one ``pull_batch`` per input instead of one
+        ``pull`` per packet.
         """
         inputs = self.receptacle("inputs")
         out: list[Packet] = []
@@ -183,54 +162,20 @@ class DrrScheduler(LinkSchedulerBase):
             self._pending[name] = packet
         return packet
 
-    def pull(self) -> Packet | None:
-        """Serve per deficit round robin.
-
-        The walk distinguishes *empty* inputs (no head: deficit reset,
-        skipped explicitly) from inputs whose deficit merely hasn't
-        covered the head yet (quantum added, revisited next lap).  It
-        returns ``None`` only after a full lap finds every input empty,
-        so a large packet that needs several quanta to afford is a few
-        more lap iterations — never a premature end of service while
-        other inputs still hold packets.  Terminates because each
-        non-empty visit adds a positive quantum to that input's deficit.
-        """
-        self._refresh_ring()
-        ring = self._ring
-        if not ring:
-            return None
-        deficits = self._deficits
-        quanta = self.quanta
-        empty_streak = 0
-        while empty_streak < len(ring):
-            name = ring[self._cursor]
-            head = self._head(name)
-            if head is None:
-                # Explicit empty-input skip: reset its deficit, move on.
-                deficits[name] = 0.0
-                self._cursor = (self._cursor + 1) % len(ring)
-                empty_streak += 1
-                continue
-            empty_streak = 0
-            deficit = deficits.get(name, 0.0)
-            if deficit < head.size_bytes:
-                deficits[name] = deficit + quanta.get(name, self.quantum)
-                self._cursor = (self._cursor + 1) % len(ring)
-                continue
-            deficits[name] = deficit - head.size_bytes
-            del self._pending[name]
-            self.count(f"served:{name}")
-            return head
-        return None
-
     def pull_batch(self, max_n: int) -> list[Packet]:
         """Serve whole rounds: one quantum top-up per visit, then a burst
         of consecutive heads while the deficit covers them.
 
-        This is exactly the packet sequence of repeated ``pull()`` (the
-        scalar path leaves the cursor on a served input, so consecutive
-        pulls drain the same burst) with the ring walk, deficit lookups
-        and counter bumps hoisted out of the per-packet path.
+        The walk distinguishes *empty* inputs (no head: deficit reset,
+        skipped explicitly) from inputs whose deficit merely hasn't
+        covered the head yet (quantum added, revisited next lap).  It
+        comes back short of *max_n* only after a full lap finds every
+        input empty, so a large packet that needs several quanta to
+        afford is a few more lap iterations — never a premature end of
+        service while other inputs still hold packets.  Terminates
+        because each non-empty visit adds a positive quantum to that
+        input's deficit.  A full batch leaves the cursor on the input it
+        was serving, so the next call continues its burst.
         """
         out: list[Packet] = []
         self._refresh_ring()
@@ -245,6 +190,7 @@ class DrrScheduler(LinkSchedulerBase):
             name = ring[self._cursor]
             head = self._head(name)
             if head is None:
+                # Explicit empty-input skip: reset its deficit, move on.
                 deficits[name] = 0.0
                 self._cursor = (self._cursor + 1) % len(ring)
                 empty_streak += 1
@@ -259,9 +205,9 @@ class DrrScheduler(LinkSchedulerBase):
                 out.append(head)
                 served += 1
                 if len(out) >= max_n:
-                    # Batch full: stop without prefetching the next head
-                    # (a scalar pull loop that stopped here would not
-                    # have touched the input again).
+                    # Batch full: stop without prefetching the next head,
+                    # so the input's depth and ``tx`` count are what a
+                    # caller that stops pulling here would leave.
                     break
                 head = self._head(name)
                 exhausted = head is None
@@ -330,23 +276,12 @@ class WfqScheduler(LinkSchedulerBase):
                 best_name = name
         return best_name
 
-    def pull(self) -> Packet | None:
-        """Serve the head with the earliest virtual finish tag."""
-        best_name = self._select(self.input_names())
-        if best_name is None:
-            return None
-        packet = self._pending.pop(best_name)
-        start, _ = self._tags.pop(best_name)
-        self._virtual_time = max(self._virtual_time, start)
-        self.count(f"served:{best_name}")
-        return packet
-
     def pull_batch(self, max_n: int) -> list[Packet]:
-        """Serve whole rounds of earliest-finish selections.
+        """Serve the heads with the earliest virtual finish tags, in turn.
 
-        Tags are computed once per head (scalar behaviour) and the input
-        enumeration is hoisted out of the per-packet loop; the emitted
-        sequence is identical to repeated ``pull()``.
+        Tags are computed once per head and the input enumeration is
+        hoisted out of the per-packet loop; the emitted sequence is
+        identical to repeated ``pull()``.
         """
         out: list[Packet] = []
         names = self.input_names()

@@ -737,6 +737,33 @@ class TestShardRecovery:
         assert shard_pool_audit(pools)["balanced"]
         datapath.shutdown()
 
+    def test_commit_counts_raise_policy_refusals_instead_of_losing_frames(self):
+        # The successor's raise-policy pool runs dry four frames into the
+        # flush.  The commit must still succeed, and every parked frame
+        # must end up either flushed or counted as refused — none lost.
+        shards = 2
+        pools = carve_shard_pools(256, 8, shards, exhaustion_policy="raise")
+        recorder = Recorder()
+        datapath = build(shards, pools, recorder)
+        actions = datapath.recovery_action_set()
+        params = {"shard": 0}
+        assert actions.quiesce(params) is True
+        flows = flows_on_shard(0, shards, count=4)
+        frames = [seq_frame(flow, seq) for seq in range(4) for flow in flows]
+        datapath.steer_batch(frames)
+        assert datapath.parked_count() == 16
+        actions.commit(params)
+        record = datapath.recoveries[-1]
+        assert record["parked_flushed"] + record["parked_refused"] == 16
+        assert record["parked_flushed"] == pools[1].count
+        assert datapath.parked_count() == 0
+        datapath.pump()
+        assert sum(len(log) for log in recorder.logs.values()) == record[
+            "parked_flushed"
+        ]
+        assert shard_pool_audit(pools)["balanced"]
+        datapath.shutdown()
+
     def test_quiesce_refusals(self):
         pools = carve_shard_pools(256, 32, 2, exhaustion_policy="drop-newest")
         recorder = Recorder()
