@@ -37,6 +37,13 @@ class PacketError(OpenComError):
     """Malformed packet or header operation."""
 
 
+def _bad_first_byte(first: int) -> str:
+    """Why byte 0 = *first* is refused where IPv4 means 0x45 (no options)."""
+    if first >> 4 == 4:
+        return f"IPv4 header length field (IHL) {first & 0xF} is not 5: no options"
+    return f"not an IPv4 header (IP version {first >> 4})"
+
+
 def ipv4(address: str | int) -> int:
     """Parse an IPv4 address to its integer form."""
     if isinstance(address, int):
@@ -174,7 +181,8 @@ def flow_hash_fields(
 
 @dataclass
 class IPv4Header:
-    """IPv4 header (20 bytes, no options)."""
+    """IPv4 header (20 bytes, no options: a parsed header length field
+    other than 5 words is malformed)."""
 
     src: int
     dst: int
@@ -297,8 +305,8 @@ class IPv4Header:
             src,
             dst,
         ) = struct.unpack_from("!BBHHHBBHII", view, offset)
-        if version_ihl >> 4 != 4:
-            raise PacketError(f"not an IPv4 header (version {version_ihl >> 4})")
+        if version_ihl != 0x45:
+            raise PacketError(_bad_first_byte(version_ihl))
         return cls(
             src=src,
             dst=dst,

@@ -42,6 +42,7 @@ from repro.netsim.packet import (
     TCPHeader,
     UDPHeader,
     _PACKET_IDS,
+    _bad_first_byte,
     flow_hash_fields,
     incremental_checksum_update,
     internet_checksum,
@@ -55,6 +56,12 @@ _RAW_FRAME = (bytes, bytearray, memoryview)
 #: use-after-release fails on an index instead of reading a recycled
 #: buffer.
 _RELEASED_VIEW = memoryview(b"")
+
+#: Header lengths as globals for the per-frame parsers (IPv4: IHL 5 only).
+_V4_LEN = IPv4Header.HEADER_LEN
+_V6_LEN = IPv6Header.HEADER_LEN
+_UDP_LEN = UDPHeader.HEADER_LEN
+_TCP_LEN = TCPHeader.HEADER_LEN
 
 
 class V4View(IPv4Header):
@@ -173,8 +180,9 @@ class V4View(IPv4Header):
     def checksum_ok(self) -> bool:
         """Validate the stored checksum without materialising the header:
         the RFC 1071 sum over a header *including* a valid checksum field
-        folds to zero."""
-        return internet_checksum(self.header_view()) == 0
+        folds to 0xFFFF.  A fold keeps the sum modulo 0xFFFF and byte 0 is
+        0x45, so that is one ``unpack_from`` and a divisibility test."""
+        return sum(unpack_from("!10H", self._o._mv, self._off)) % 0xFFFF == 0
 
     def compute_checksum(self) -> int:
         """Checksum with the stored field zeroed — computed over the view
@@ -199,22 +207,23 @@ class V4View(IPv4Header):
         pack_into("!H", mv, off, internet_checksum(self.header_view()))
 
     def decrement_ttl(self) -> bool:
-        """TTL decrement with an RFC 1624 incremental checksum update:
-        exactly one 16-bit word (TTL, protocol) changes, so the checksum
-        is patched without re-summing the header."""
+        """TTL decrement with RFC 1624 eq. 3, ``HC' = ~(~HC + ~m + m')``,
+        specialised to the TTL word: m' = m - 0x100 makes ``~m + m'`` the
+        constant 0xFEFF, and the one end-around fold carries exactly when
+        HC <= 0xFEFE (leaving HC + 0x100, else HC - 0xFEFF).  Bit-identical
+        to ``incremental_checksum_update(HC, m, m - 0x100)``."""
         o = self._o
-        off = self._off
-        ttl = o._mv[off + 8]
+        at = self._off + 8  # TTL, protocol, checksum
+        mv = o._mv
+        ttl, proto, stored = unpack_from("!BBH", mv, at)
         if ttl <= 1:
             return False
-        o._unshare()
-        mv = o._mv  # unsharing may have swapped the backing buffer
-        old_word = (ttl << 8) | mv[off + 9]
-        mv[off + 8] = ttl - 1
-        (stored,) = unpack_from("!H", mv, off + 10)
+        if o.buffer.refcount > 1:
+            o._unshare()
+            mv = o._mv  # unsharing swapped the backing buffer
         pack_into(
-            "!H", mv, off + 10,
-            incremental_checksum_update(stored, old_word, old_word - 0x100),
+            "!BBH", mv, at, ttl - 1, proto,
+            stored + 0x100 if stored <= 0xFEFE else stored - 0xFEFF,
         )
         return True
 
@@ -479,53 +488,48 @@ class WirePacket:
         created_at: float = 0.0,
         metadata: dict[str, Any] | None = None,
     ) -> None:
+        """The one layout body: byte 0 is read once, ``0x45`` (IPv4, no
+        options) first.  Any other IPv4 header length, and — as in
+        :meth:`Packet.from_bytes` — a truncated UDP/TCP header, raise
+        :class:`PacketError`: both representations refuse the same input."""
         self.buffer = buffer
-        self.length = buffer.length
-        self._mv = buffer._mv
+        self._mv = mv = buffer._mv
+        self.length = length = buffer.length
         self.packet_id = next(_PACKET_IDS)
         self.created_at = created_at
-        self.metadata = metadata if metadata is not None else {}
-        self._parse_layout()
-
-    def _parse_layout(self) -> None:
-        mv = self._mv
-        if self.length == 0:
+        self.metadata = {} if metadata is None else metadata
+        if not length:
             raise PacketError("empty packet")
-        version = mv[0] >> 4
-        self.version = version
-        if version == 4:
-            if self.length < IPv4Header.HEADER_LEN:
-                raise PacketError(f"IPv4 header needs 20 bytes, got {self.length}")
+        first = mv[0]
+        if first == 0x45:
+            if length < _V4_LEN:
+                raise PacketError(f"IPv4 header needs 20 bytes, got {length}")
+            self.version = 4
             self.net = V4View(self, 0)
             proto = mv[9]
-            offset = IPv4Header.HEADER_LEN
-        elif version == 6:
-            if self.length < IPv6Header.HEADER_LEN:
-                raise PacketError(f"IPv6 header needs 40 bytes, got {self.length}")
+            offset = _V4_LEN
+        elif first >> 4 == 6:
+            if length < _V6_LEN:
+                raise PacketError(f"IPv6 header needs 40 bytes, got {length}")
+            self.version = 6
             self.net = V6View(self, 0)
             proto = mv[6]
-            offset = IPv6Header.HEADER_LEN
+            offset = _V6_LEN
         else:
-            raise PacketError(f"unknown IP version {version}")
-        self.transport = None
-        # Mirror Packet.from_bytes exactly: a transport protocol with a
-        # truncated header is malformed, not "transport-less" (the wire
-        # and copy representations must reject the same inputs).
+            raise PacketError(_bad_first_byte(first))
         if proto == PROTO_UDP:
-            if self.length < offset + UDPHeader.HEADER_LEN:
-                raise PacketError(
-                    f"UDP header needs 8 bytes, got {self.length - offset}"
-                )
+            if length < offset + _UDP_LEN:
+                raise PacketError(f"UDP header needs 8 bytes, got {length - offset}")
             self.transport = UDPView(self, offset)
-            offset += UDPHeader.HEADER_LEN
+            self._payload_off = offset + _UDP_LEN
         elif proto == PROTO_TCP:
-            if self.length < offset + TCPHeader.HEADER_LEN:
-                raise PacketError(
-                    f"TCP header needs 20 bytes, got {self.length - offset}"
-                )
+            if length < offset + _TCP_LEN:
+                raise PacketError(f"TCP header needs 20 bytes, got {length - offset}")
             self.transport = TCPView(self, offset)
-            offset += TCPHeader.HEADER_LEN
-        self._payload_off = offset
+            self._payload_off = offset + _TCP_LEN
+        else:
+            self.transport = None
+            self._payload_off = offset
 
     # -- construction -----------------------------------------------------------
 
@@ -596,14 +600,14 @@ class WirePacket:
         :class:`PacketError` with the acquired buffer already handed
         back — malformed input must never strand a pool buffer.
         """
-        if isinstance(frame, _RAW_FRAME):
+        if type(frame) is bytes or isinstance(frame, _RAW_FRAME):
             if pool is None:
                 buffer = Buffer.standalone(frame)
             else:
                 buffer = pool.acquire_into(frame)
                 if buffer is None:
                     return None
-            _LEDGER.record_copy(len(frame))
+            _LEDGER.record_copy(buffer.length)
             try:
                 return cls(buffer, created_at=created_at, metadata=metadata)
             except PacketError:
@@ -746,16 +750,11 @@ class WirePacket:
         triggers copy-on-write unsharing, so clones may diverge safely.
         """
         _LEDGER.record_reference(self.length)
-        self.buffer.clone_ref()
-        clone = object.__new__(WirePacket)
-        clone.buffer = self.buffer
-        clone._mv = self._mv
-        clone.length = self.length
-        clone.packet_id = next(_PACKET_IDS)
-        clone.created_at = self.created_at
-        clone.metadata = dict(self.metadata)
-        clone._parse_layout()
-        return clone
+        return WirePacket(
+            self.buffer.clone_ref(),
+            created_at=self.created_at,
+            metadata=dict(self.metadata),
+        )
 
     def copy(self) -> "WirePacket":
         """Deep copy into a fresh standalone buffer (counted as a copy)."""
@@ -788,7 +787,12 @@ class WirePacket:
         """
         self._mv = _RELEASED_VIEW
         self.net = self.transport = None
-        self.buffer.release_ref()
+        buffer = self.buffer
+        pool = buffer.pool
+        if pool is None:
+            buffer.release_ref()
+        else:
+            pool.release(buffer)
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (
@@ -805,8 +809,9 @@ def wire_flow_key(frame: bytes | bytearray | memoryview) -> tuple:
     :meth:`Packet.flow_key` and must agree with them on every valid
     frame (the representation-stability regression tests in
     ``tests/osbase/test_sharding.py`` pin the agreement).  Validation
-    mirrors :meth:`WirePacket._parse_layout`: an unusable frame (empty,
-    truncated network *or transport* header, unknown version) raises
+    mirrors :meth:`WirePacket.__init__`: an unusable frame (empty,
+    truncated network *or transport* header, an IPv4 header length other
+    than 20 bytes, unknown version) raises
     :class:`PacketError` rather than producing a garbage key a shard
     NIC would reject anyway; transport ports are read only for UDP/TCP,
     anything else keys with ``sport = dport = 0`` exactly like
@@ -815,31 +820,31 @@ def wire_flow_key(frame: bytes | bytearray | memoryview) -> tuple:
     length = len(frame)
     if length == 0:
         raise PacketError("empty frame")
-    version = frame[0] >> 4
-    if version == 4:
-        if length < IPv4Header.HEADER_LEN:
+    first = frame[0]
+    if first == 0x45:
+        if length < _V4_LEN:
             raise PacketError(f"IPv4 header needs 20 bytes, got {length}")
+        version = 4
         src, dst = unpack_from("!II", frame, 12)
         proto = frame[9]
-        offset = IPv4Header.HEADER_LEN
-    elif version == 6:
-        if length < IPv6Header.HEADER_LEN:
+        offset = _V4_LEN
+    elif first >> 4 == 6:
+        if length < _V6_LEN:
             raise PacketError(f"IPv6 header needs 40 bytes, got {length}")
+        version = 6
         src_hi, src_lo, dst_hi, dst_lo = unpack_from("!QQQQ", frame, 8)
         src, dst = (src_hi << 64) | src_lo, (dst_hi << 64) | dst_lo
         proto = frame[6]
-        offset = IPv6Header.HEADER_LEN
+        offset = _V6_LEN
     else:
-        raise PacketError(f"unknown IP version {version}")
+        raise PacketError(_bad_first_byte(first))
     sport = dport = 0
     if proto in (PROTO_UDP, PROTO_TCP):
-        # Same strictness as _parse_layout: a truncated transport header
+        # Same strictness as WirePacket.__init__: a truncated transport header
         # is malformed, not "transport-less" — rejecting it here keeps
         # the failure at the steering step instead of letting a shard
         # NIC raise mid-batch after the frame was already steered.
-        needed = (
-            UDPHeader.HEADER_LEN if proto == PROTO_UDP else TCPHeader.HEADER_LEN
-        )
+        needed = _UDP_LEN if proto == PROTO_UDP else _TCP_LEN
         if length < offset + needed:
             raise PacketError(
                 f"transport header needs {needed} bytes, got {length - offset}"

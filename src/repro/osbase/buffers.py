@@ -218,10 +218,7 @@ class BufferPool(Component):
     def acquire(self, size: int) -> Buffer | None:
         """Obtain a buffer of at least *size* bytes (refcount 1).
 
-        Exhaustion follows the pool's policy: ``raise`` raises
-        ResourceError (the historical behaviour, right for control-plane
-        acquisition), ``drop-newest``/``backpressure`` return None so a
-        datapath caller can drop or stall without unwinding mid-path.
+        Exhaustion follows the pool's policy (:meth:`_exhausted`).
         Oversize requests always raise — they are configuration errors,
         not load.
         """
@@ -229,42 +226,64 @@ class BufferPool(Component):
             raise ResourceError(
                 f"requested {size} bytes exceeds pool buffer size {self.buffer_size}"
             )
-        if not self._free:
-            self.exhaustion_events += 1
-            if self.exhaustion_policy == "raise":
-                raise ResourceError(
-                    f"buffer pool {self.name} exhausted "
-                    f"({self.count} buffers in flight)"
-                )
-            return None
-        buffer = self._free.pop()
+        free = self._free
+        if not free:
+            return self._exhausted()
+        buffer = free.pop()
         buffer.refcount = 1
         buffer.length = 0
         self.acquired_total += 1
-        if len(self._free) < self.free_low_watermark:
-            self.free_low_watermark = len(self._free)
+        if len(free) < self.free_low_watermark:
+            self.free_low_watermark = len(free)
         return buffer
 
     def acquire_into(self, data) -> Buffer | None:
-        """Acquire a buffer of ``len(data)`` bytes and fill it with *data*
-        in one call — the ingress materialisation primitive the NIC uses
-        (one acquire, one write, per arriving frame).  Returns None when
-        the pool is exhausted under a non-raising policy."""
-        buffer = self.acquire(len(data))
-        if buffer is not None:
-            buffer.write(data)
+        """Acquire a buffer and fill it with *data* in one body — the
+        ingress materialisation primitive the NIC uses (one acquire, one
+        write, per arriving frame).  Same size check, policy and counters
+        as :meth:`acquire`."""
+        size = len(data)
+        if size > self.buffer_size:
+            raise ResourceError(
+                f"requested {size} bytes exceeds pool buffer size {self.buffer_size}"
+            )
+        free = self._free
+        if not free:
+            return self._exhausted()
+        buffer = free.pop()
+        buffer.refcount = 1
+        buffer._data[:size] = data
+        buffer.length = size
+        self.acquired_total += 1
+        if len(free) < self.free_low_watermark:
+            self.free_low_watermark = len(free)
         return buffer
+
+    def _exhausted(self) -> None:
+        """One acquire found the pool empty: count it, then apply the
+        policy — ``raise`` raises ResourceError (right for control-plane
+        acquisition), ``drop-newest``/``backpressure`` return None so a
+        datapath caller can drop or stall without unwinding mid-path."""
+        self.exhaustion_events += 1
+        if self.exhaustion_policy == "raise":
+            raise ResourceError(
+                f"buffer pool {self.name} exhausted ({self.count} buffers in flight)"
+            )
+        return None
 
     def release(self, buffer: Buffer) -> None:
         """Drop one reference; the buffer returns to the pool at zero."""
         if buffer.pool is not self:
             raise ResourceError("buffer released to the wrong pool")
-        if buffer.refcount <= 0:
-            raise ResourceError("buffer already fully released")
-        buffer.refcount -= 1
-        if buffer.refcount == 0:
+        refs = buffer.refcount
+        if refs == 1:
+            buffer.refcount = 0
             self.released_total += 1
             self._free.append(buffer)
+        elif refs > 1:
+            buffer.refcount = refs - 1
+        else:
+            raise ResourceError("buffer already fully released")
 
     def stats(self) -> dict:
         """Pool occupancy statistics."""

@@ -47,9 +47,6 @@ from repro.osbase.buffers import release_dropped
 _INGEST: Callable[..., Any] | None = None
 _PACKET_ERROR: type[Exception] | None = None
 
-#: The shapes a raw wire frame arrives in.
-_RAW_FRAME = (bytes, bytearray, memoryview)
-
 
 def _wire_ingest() -> Callable[..., Any]:
     global _INGEST, _PACKET_ERROR
@@ -81,23 +78,25 @@ class INic(Interface):
         """Host side: queue a packet for transmission; False when dropped."""
         ...
 
+    def transmit_batch(self, packets) -> int:
+        """Host side: queue packets in order; returns how many were queued."""
+        ...
+
     def poll_tx(self):
         """Network side: take one packet from TX (None when empty)."""
         ...
 
 
 def _frame_size(frame: Any) -> int | None:
-    """On-wire size of an arriving frame, for MTU validation.
+    """On-wire size of an arriving frame that is not ``bytes`` (those,
+    the common arrival, are sized inline), for MTU validation.
 
-    Raw byte frames (the common arrival, so tested first) report their
-    length; wire/materialised packets ``size_bytes``; anything else is
-    asked to serialise itself.  Returns None for an unsizable frame —
-    the caller treats that as invalid rather than letting it default
-    past MTU validation (the historical ``getattr(packet, "size_bytes",
-    0)`` bug).
+    Wire/materialised packets report ``size_bytes``, other byte buffers
+    their length; anything else is asked to serialise itself.  Returns
+    None for an unsizable frame — the caller treats that as invalid
+    rather than letting it default past MTU validation (the historical
+    ``getattr(packet, "size_bytes", 0)`` bug).
     """
-    if isinstance(frame, _RAW_FRAME):
-        return len(frame)
     size = getattr(frame, "size_bytes", None)
     if size is not None:
         return size
@@ -180,13 +179,13 @@ class Nic(Component):
         pool = self.pool
         handler = self.rx_handler
         rx = self._rx
-        ingest = _wire_ingest() if pool is not None else None
+        ingest = (_INGEST or _wire_ingest()) if pool is not None else None
         # Push mode has no ring, so no overrun.
         space = len(frames) if handler is not None else self.rx_ring_size - len(rx)
         accepted = 0
         try:
             for frame in frames:
-                size = _frame_size(frame)
+                size = len(frame) if type(frame) is bytes else _frame_size(frame)
                 if size is None or size > mtu:
                     # Unsizable frames are malformed, not free passes past
                     # MTU validation; dropped frames hand back any pooled
@@ -218,9 +217,9 @@ class Nic(Component):
                         continue
                     except _PACKET_ERROR:
                         # Unparseable bytes (truncated header, unknown
-                        # version) are malformed input, not a datapath
-                        # error: ingest has already handed the acquired
-                        # buffer back, so this is a counted drop.
+                        # version, IPv4 options) are malformed input, not
+                        # a datapath error: ingest has already handed the
+                        # acquired buffer back, so this is a counted drop.
                         counters["rx_drops"] += 1
                         counters["malformed_drops"] += 1
                         continue
@@ -274,16 +273,18 @@ class Nic(Component):
         depth, so a handler that refills the ring cannot spin the drain
         forever.
         """
+        tx = self._tx
+        popleft = tx.popleft
+        if handler is None:
+            handler = release_dropped
+        limit = len(tx) if budget is None else budget
         drained = 0
-        limit = len(self._tx) if budget is None else budget
-        while self._tx and drained < limit:
-            frame = self._tx.popleft()
-            if handler is not None:
-                handler(frame)
-            else:
-                release_dropped(frame)
-            self.counters["tx_completions"] += 1
-            drained += 1
+        try:
+            while drained < limit and tx:
+                handler(popleft())
+                drained += 1
+        finally:  # counted once, also on an unwind
+            self.counters["tx_completions"] += drained
         return drained
 
     # -- host side -----------------------------------------------------------------
@@ -303,24 +304,44 @@ class Nic(Component):
         or hairpin wiring) processes one ring's worth and returns instead
         of livelocking on its own refills.
         """
+        rx = self._rx
+        popleft = rx.popleft
+        limit = len(rx) if budget is None else budget
         processed = 0
-        limit = len(self._rx) if budget is None else budget
-        while self._rx and processed < limit:
-            handler(self._rx.popleft())
-            processed += 1
+        while processed < limit and rx:  # repeats only for refills under a budget
+            chunk = min(limit - processed, len(rx))
+            for _ in range(chunk):
+                handler(popleft())
+            processed += chunk
         return processed
 
     def transmit(self, packet: Any) -> bool:
-        """Queue a packet for transmission; returns False when the TX ring
-        is full (packet dropped, counted, and its pooled buffer released —
-        the caller handed ownership over by calling transmit)."""
-        if len(self._tx) >= self.tx_ring_size:
-            self.counters["tx_drops"] += 1
+        """Queue a packet for transmission; False when the TX ring is full.
+        The one-packet case of :meth:`transmit_batch`."""
+        return self.transmit_batch((packet,)) == 1
+
+    def transmit_batch(self, packets: Any) -> int:
+        """Queue a sequence of packets in order; returns how many were
+        queued.  Drop-tail per packet as one :meth:`transmit` each, with
+        the ring space read once: the packets past a full ring count
+        ``tx_drops`` and have their pooled buffers released (calling
+        transmit hands ownership over)."""
+        tx = self._tx
+        sent = len(packets)
+        space = self.tx_ring_size - len(tx)
+        if sent <= space:
+            tx.extend(packets)
+            self.counters["tx_packets"] += sent
+            return sent
+        sent = max(space, 0)
+        tx.extend(packets[:sent])
+        dropped = packets[sent:]
+        counters = self.counters
+        counters["tx_packets"] += sent
+        counters["tx_drops"] += len(dropped)
+        for packet in dropped:
             release_dropped(packet)
-            return False
-        self._tx.append(packet)
-        self.counters["tx_packets"] += 1
-        return True
+        return sent
 
     # -- introspection ----------------------------------------------------------------
 

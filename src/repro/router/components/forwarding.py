@@ -134,7 +134,9 @@ class Stride8LpmTable:
 
     :meth:`lookup_cached` adds a bounded per-destination result cache so
     flow-locality traffic skips the walk entirely; every table mutation
-    invalidates it.
+    invalidates it.  Per-packet callers may probe the dict :attr:`cache`
+    directly (a hit is the lookup's result) and call :meth:`lookup_cached`
+    on a miss, which fills it.
     """
 
     #: Destination-cache bound; the cache is cleared wholesale when full
@@ -148,14 +150,15 @@ class Stride8LpmTable:
         self._defaults: dict[int, tuple[int, Any] | None] = {4: None, 6: None}
         #: Exact prefixes per family: (network, length) -> value.
         self._prefixes: dict[int, dict[tuple[int, int], Any]] = {4: {}, 6: {}}
-        self._cache: dict[tuple[int, int], Any] = {}
+        #: Destination cache: ``(version, address)`` → lookup result.
+        self.cache: dict[tuple[int, int], Any] = {}
 
     def insert(self, prefix: str, value: Any) -> None:
         """Insert or replace a prefix route."""
         version, network, length = parse_prefix(prefix)
         self._prefixes[version][(network, length)] = value
         self._insert_raw(version, network, length, value)
-        self._cache.clear()
+        self.cache.clear()
 
     def _insert_raw(self, version: int, network: int, length: int, value: Any) -> None:
         if length == 0:
@@ -193,7 +196,7 @@ class Stride8LpmTable:
         self._defaults[version] = None
         for (net, plen), value in store.items():
             self._insert_raw(version, net, plen, value)
-        self._cache.clear()
+        self.cache.clear()
 
     def lookup(self, address: int, *, version: int = 4) -> Any:
         """Longest-prefix match; returns the stored value or None."""
@@ -217,7 +220,7 @@ class Stride8LpmTable:
     def lookup_cached(self, address: int, *, version: int = 4) -> Any:
         """:meth:`lookup` through the per-destination result cache."""
         key = (version, address)
-        cache = self._cache
+        cache = self.cache
         value = cache.get(key, _MISS)
         if value is _MISS:
             value = self.lookup(address, version=version)
@@ -268,14 +271,21 @@ class Forwarder(PushComponent):
         self.table.load(routes)
 
     def push_batch(self, packets: list[Packet]) -> None:
-        """Resolve per packet, emit one grouped batch per next hop."""
+        """Resolve per packet (a destination-cache hit is one dict probe),
+        emit one grouped batch per next hop."""
         self.count("rx", len(packets))
-        lookup = self.table.lookup_cached
+        table = self.table
+        probe = table.cache.get
+        lookup = table.lookup_cached
         default = self.default_route
         groups: dict[str, list[Packet]] = {}
         unroutable = 0
         for packet in packets:
-            next_hop = lookup(packet.net.dst, version=packet.version)
+            version = packet.version
+            dst = packet.net.dst
+            next_hop = probe((version, dst), _MISS)
+            if next_hop is _MISS:
+                next_hop = lookup(dst, version=version)
             if next_hop is None:
                 next_hop = default
             if next_hop is None:

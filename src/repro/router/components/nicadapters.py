@@ -121,7 +121,7 @@ class TransmitAdapter(PushComponent):
     """Terminal egress closing the buffer lifecycle through a NIC.
 
     The push side queues packets on the bound NIC's TX ring
-    (:meth:`push_batch` → ``nic.transmit``; ring-full drops are counted
+    (:meth:`push_batch` → ``nic.transmit_batch``; ring-full drops are counted
     and released by the NIC itself).  The wire side — :meth:`drain_wire` —
     pops transmitted frames off the ring and releases their pooled
     buffers (or hands them to an explicit consumer such as a link), which
@@ -144,24 +144,21 @@ class TransmitAdapter(PushComponent):
         return self._nic
 
     def push_batch(self, packets: list[Packet]) -> None:
-        """Queue packets on the TX ring, one ring append each (the ring
-        keeps exact drop-tail semantics); ``drop:tx-full`` on overflow
+        """Hand the whole batch to the TX ring (``Nic.transmit_batch``
+        keeps exact per-packet drop-tail); ``drop:tx-full`` on overflow
         (the NIC released the buffer — transmit owns the packet)."""
-        self.count("rx", len(packets))
+        n = len(packets)
+        self.count("rx", n)
         nic = self._nic
         if nic is None:
-            self.count("drop:unplumbed", len(packets))
+            self.count("drop:unplumbed", n)
             for packet in packets:
                 release_dropped(packet)
             return
-        transmit = nic.transmit
-        sent = 0
-        for packet in packets:
-            if transmit(packet):
-                sent += 1
+        sent = nic.transmit_batch(packets)
         self.count("tx", sent)
-        if sent != len(packets):
-            self.count("drop:tx-full", len(packets) - sent)
+        if sent != n:
+            self.count("drop:tx-full", n - sent)
 
     def drain_wire(
         self,

@@ -6,8 +6,8 @@ in one ``receive_batch``.  The reference here is the steering loop as it
 was written before batching, kept test-local: hash one frame, walk the
 park/redirect chain, ``receive_frame`` on the target NIC, count.  Random
 batches mix valid raw bytes, ``Packet`` and ``WirePacket`` frames with
-malformed frames (empty, truncated IPv4, truncated UDP, version 1) and
-over-MTU frames; small rings and pool slices overflow and exhaust part
+malformed frames (empty, truncated IPv4, truncated UDP, version 1, an
+IPv4 header length other than 5 words) and over-MTU frames; small rings and pool slices overflow and exhaust part
 way through a batch, under each pool exhaustion policy, with and without
 a parked bucket and a redirected bucket.  Both sides must end with the
 same per-shard ring contents (order and bytes), park lists, NIC
@@ -83,6 +83,11 @@ def make_frame(kind, flow, seq):
         return udp(flow, seq).to_bytes()[:12]
     if kind == "truncated-udp":
         return udp(flow, seq).to_bytes()[:24]
+    if kind.startswith("ihl-"):
+        # Byte 0 declares a header of IHL words: options (or too short).
+        raw = bytearray(udp(flow, seq).to_bytes())
+        raw[0] = 0x40 | int(kind[4:])
+        return bytes(raw)
     assert kind == "version-1"
     raw = bytearray(udp(flow, seq).to_bytes())
     raw[0] = 0x15
@@ -92,6 +97,7 @@ def make_frame(kind, flow, seq):
 KINDS = [
     "raw", "packet", "wire", "over-mtu", "over-mtu-packet",
     "empty", "truncated-v4", "truncated-udp", "version-1",
+    "ihl-4", "ihl-6", "ihl-15",
 ]  # fmt: skip
 
 arrivals = st.lists(

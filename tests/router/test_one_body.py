@@ -6,7 +6,8 @@ its ``push_batch`` — scalar ``push`` is the inherited batch of one.  A link
 scheduler writes only ``pull_batch``; its scalar ``pull`` is the base's
 first item of ``pull_batch(1)``.  Checked on each class's own
 ``__dict__``, so a hand-written second copy anywhere in the hierarchy
-fails here.
+fails here.  Below the components, the NIC follows the same rule: its
+scalar ``transmit`` and ``receive_frame`` are batches of one.
 """
 
 import inspect
@@ -15,6 +16,7 @@ import pytest
 
 import repro.appservices
 import repro.router
+from repro.osbase import Nic
 from repro.router import LinkSchedulerBase, PacketComponent
 from repro.router.components.base import DequeSource
 
@@ -69,3 +71,12 @@ def test_pull_side_has_one_body(cls):
         assert not ("pull" in own and "pull_batch" in own), (
             f"{cls.__name__} writes both pull and pull_batch"
         )
+
+
+@pytest.mark.parametrize(
+    "scalar, batch", [("transmit", "transmit_batch"), ("receive_frame", "receive_batch")]
+)
+def test_nic_scalar_is_a_batch_of_one(scalar, batch):
+    names = set(getattr(Nic, scalar).__code__.co_names)
+    assert batch in names
+    assert not names & {"_tx", "_rx", "counters"}, f"Nic.{scalar} writes a second body"
